@@ -5,6 +5,20 @@ under the chosen linkage, with cluster distances maintained through the
 Lance-Williams update formulas. Cosine distance is used throughout since
 the fused vectors live in a high-dimensional, mostly positive space.
 
+The closest pair is found from cached nearest-neighbour candidates, the
+"generic" scheme of Muellner, "Modern hierarchical, agglomerative
+clustering algorithms" (arXiv:1109.2378, section 3). Node ``a`` keeps
+the distances to higher-numbered nodes only, together with their minimum
+and the smallest column attaining it. A merge takes the smallest row
+minimum (the lowest row on a tie) and that row's cached column, which is
+exactly the lexicographically smallest pair at the minimum distance.
+After a merge only the rows whose cached neighbour was one of the merged
+nodes are rescanned; the others only compare against the new node's
+distance. That is O(n^2) overall when few rows share a neighbour, as
+with average, complete, weighted and ward linkage, and O(n^3) at worst.
+The arithmetic is the same as recomputing a full minimum every step, so
+merge tables are identical bit for bit.
+
 The dendrogram is cut where the merge distance reaches the cutoff, frames
 inherit their cluster's label, and the output segmentation places a
 boundary wherever consecutive frames carry different labels. Labels are
@@ -32,6 +46,10 @@ LINKAGES = ("ward", "centroid", "complete", "weighted", "single", "median", "ave
 # linkages whose merge heights never invert, so a larger cutoff can only
 # coarsen the flat clustering
 MONOTONE_LINKAGES = ("single", "complete", "average", "weighted")
+
+# rows rescanned per block, so a rescan's temporary stays at 16 x (2n - 1)
+# floats however many cached neighbours a merge invalidates
+_RESCAN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -101,6 +119,7 @@ def _lw_update(linkage: str, d_ki: np.ndarray, d_kj: np.ndarray, d_ij: float,
 def linkage_merge_sequence(dist: np.ndarray, linkage: str) -> np.ndarray:
     """Agglomerate a precomputed distance matrix into a merge table.
 
+    ``dist`` is a symmetric (n, n) matrix; only its upper triangle is read.
     Returns an (n-1, 4) array of [node_a, node_b, merge_distance, size],
     with leaves numbered 0..n-1 and the i-th merge creating node n+i.
     When several pairs tie at the minimum distance, the lexicographically
@@ -111,34 +130,65 @@ def linkage_merge_sequence(dist: np.ndarray, linkage: str) -> np.ndarray:
     if n == 1:
         return np.zeros((0, 4))
     total = 2 * n - 1
+    # work[a, b] for a < b is the distance between live nodes a and b;
+    # everything else, and every entry of a merged node, is inf
     work = np.full((total, total), np.inf)
-    work[:n, :n] = d0
-    np.fill_diagonal(work, np.inf)
+    nd = np.full(total, np.inf)                 # row minimum over live columns
+    nn = np.zeros(total, dtype=np.int64)        # its smallest column
+    for k in range(n - 1):
+        work[k, k + 1:n] = d0[k, k + 1:]
+    _rescan(work, nd, nn, np.arange(n - 1), n)
     size = np.zeros(total)
     size[:n] = 1.0
     active = np.zeros(total, dtype=bool)
     active[:n] = True
     merges = np.zeros((n - 1, 4))
     for step in range(n - 1):
-        flat = int(np.argmin(work))                 # row-major: smallest (i, j) wins ties
-        i, j = divmod(flat, total)
+        i = int(np.argmin(nd))                  # smallest row wins a tie, and
+        j = int(nn[i])                          # nn holds that row's smallest column
         height = work[i, j]
         new = n + step
         active[i] = active[j] = False
+        nd[i] = nd[j] = np.inf
         others = np.nonzero(active)[0]
         if others.size:
-            updated = _lw_update(linkage, work[others, i], work[others, j], height,
-                                 size[i], size[j], size[others])
+            updated = _lw_update(linkage, _to_node(work, others, i), _to_node(work, others, j),
+                                 height, size[i], size[j], size[others])
             work[others, new] = updated
-            work[new, others] = updated
+            closer = updated < nd[others]
+            nd[others[closer]] = updated[closer]
+            nn[others[closer]] = new
+        work[:i, i] = np.inf
+        work[:j, j] = np.inf
+        stale = nn[:new] == i
+        stale |= nn[:new] == j
+        stale &= active[:new]
+        _rescan(work, nd, nn, np.flatnonzero(stale), new + 1)
         active[new] = True
         size[new] = size[i] + size[j]
-        work[i, :] = np.inf
-        work[:, i] = np.inf
-        work[j, :] = np.inf
-        work[:, j] = np.inf
         merges[step] = (i, j, height, size[new])
     return merges
+
+
+def _to_node(work: np.ndarray, others: np.ndarray, node: int) -> np.ndarray:
+    """Distances from the sorted live nodes ``others`` to ``node``."""
+    split = int(np.searchsorted(others, node))
+    return np.concatenate((work[others[:split], node], work[node, others[split:]]))
+
+
+def _rescan(work: np.ndarray, nd: np.ndarray, nn: np.ndarray, rows: np.ndarray,
+            stop: int) -> None:
+    """Recompute the cached minimum of ``rows`` over columns < ``stop``.
+
+    Entries on and below the diagonal are inf, so a finite minimum always
+    lies in a higher-numbered column, and ``argmin`` takes the smallest.
+    """
+    for lo in range(0, rows.size, _RESCAN_ROWS):
+        chunk = rows[lo:lo + _RESCAN_ROWS]
+        block = work[chunk, :stop]
+        cols = np.argmin(block, axis=1)
+        nd[chunk] = block[np.arange(chunk.size), cols]
+        nn[chunk] = cols
 
 
 def cut_merge_sequence(merges: np.ndarray, n: int, cutoff: float) -> np.ndarray:

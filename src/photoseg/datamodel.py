@@ -147,15 +147,14 @@ class ConceptDetections:
 
 @dataclass
 class FeatureStream:
-    """Ordered per-frame feature vectors for one day-long sequence.
+    """Ordered per-frame contextual feature vectors for one day-long sequence.
 
-    ``contextual`` is required, shape (n, d_c). ``semantic`` and ``fused``
-    are filled in by later pipeline stages.
+    ``contextual`` has shape (n, d_c) and finite entries; ``frames``
+    optionally carries one :class:`Frame` per row. The semantic and fused
+    blocks built from it live on the pipeline's result.
     """
 
     contextual: np.ndarray
-    semantic: Optional[np.ndarray] = None
-    fused: Optional[np.ndarray] = None
     frames: Optional[tuple[Frame, ...]] = None
 
     def __post_init__(self):
@@ -164,17 +163,13 @@ class FeatureStream:
             raise ValidationError("contextual features must be a 2-d array")
         if self.contextual.shape[0] == 0:
             raise ValidationError("feature stream is empty")
-        for name in ("semantic", "fused"):
-            block = getattr(self, name)
-            if block is None:
-                continue
-            block = np.asarray(block, dtype=np.float64)
-            setattr(self, name, block)
-            if block.ndim != 2 or block.shape[0] != self.n:
-                raise ValidationError(f"{name} block must have one row per frame")
-        if self.semantic is not None and self.semantic.size:
-            if self.semantic.min() < 0.0 or self.semantic.max() > 1.0:
-                raise ValidationError("semantic entries must lie in [0, 1]")
+        finite = np.isfinite(self.contextual)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ValidationError(
+                f"row {row}, column {col}: non-finite contextual value "
+                f"{self.contextual[row, col]}"
+            )
         if self.frames is not None:
             if len(self.frames) != self.n:
                 raise ValidationError("frames length must equal row count")
@@ -241,13 +236,23 @@ def _parse_float(cell: str, row: int, col: int) -> float:
         raise ValidationError(f"row {row}, column {col}: non-numeric cell {cell!r}") from None
 
 
+def _parse_json_line(line: str, row: int) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"row {row}: malformed JSON ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"row {row}: expected a JSON object")
+    return obj
+
+
 def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
     """Load contextual feature vectors, one frame per row.
 
     ``format`` is ``"csv"`` (numeric columns) or ``"jsonl"`` (objects with
     an ``id`` and a ``vector``). Row order defines frame order. Raises
-    :class:`ValidationError` on an empty file, a non-numeric cell, or rows
-    of differing dimension.
+    :class:`ValidationError` on an empty file, a non-numeric or non-finite
+    cell, a malformed JSON line, or rows of differing dimension.
     """
     path = Path(path)
     if format in ("csv",):
@@ -265,10 +270,10 @@ def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
             for r, line in enumerate(fh):
                 if not line.strip():
                     continue
-                obj = json.loads(line)
+                obj = _parse_json_line(line, r)
                 vec = obj.get("vector")
-                if vec is None:
-                    raise ValidationError(f"row {r}: missing 'vector' field")
+                if not isinstance(vec, list):
+                    raise ValidationError(f"row {r}: missing or non-list 'vector' field")
                 rows.append([_parse_float(str(c), r, j) for j, c in enumerate(vec)])
                 ids.append(str(obj.get("id", r)))
         frames = tuple(Frame(index=k, id=i) for k, i in enumerate(ids))
@@ -304,7 +309,9 @@ def load_concept_detections(path: str | Path) -> ConceptDetections:
     """Load per-frame tag detections from a JSON-lines file.
 
     One object per frame: ``{"id": ..., "tags": [{"tag": ..., "confidence":
-    ...}]}``. Frames with an empty tag list are accepted.
+    ...}]}``. Frames with an empty tag list are accepted. A malformed JSON
+    line or a tag entry without ``tag`` or ``confidence`` raises
+    :class:`ValidationError` naming its row.
     """
     frames: list[tuple[tuple[str, float], ...]] = []
     ids: list[str] = []
@@ -312,9 +319,14 @@ def load_concept_detections(path: str | Path) -> ConceptDetections:
         for r, line in enumerate(fh):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            tags = obj.get("tags", [])
-            frames.append(tuple((str(t["tag"]), float(t["confidence"])) for t in tags))
+            obj = _parse_json_line(line, r)
+            try:
+                frames.append(tuple((str(t["tag"]), float(t["confidence"]))
+                                    for t in obj.get("tags", [])))
+            except KeyError as exc:
+                raise ValidationError(f"row {r}: tag entry missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"row {r}: malformed tag entry ({exc})") from None
             ids.append(str(obj.get("id", r)))
     return ConceptDetections(frames=tuple(frames), ids=tuple(ids))
 
@@ -338,7 +350,13 @@ def save_segmentation(seg: Segmentation, path: str | Path) -> None:
 
 def load_segmentation(path: str | Path) -> Segmentation:
     with Path(path).open() as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{path}: malformed JSON at line {exc.lineno} ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
     try:
         return Segmentation(n=int(obj["n"]), starts=tuple(obj["starts"]))
     except KeyError as exc:

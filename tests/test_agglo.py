@@ -46,12 +46,25 @@ class TestCosineDistance:
                         cosine_distance(rows[i], rows[j]), abs=1e-12)
 
 
+def _oracle_inputs(rng, trials):
+    """Random rows, rows with duplicates, and 0/1 rows, whose distances tie."""
+    for trial in range(trials):
+        n = int(rng.integers(2, 9))
+        kind = trial % 3
+        if kind == 0:
+            rows = rng.normal(size=(n, 4))
+        elif kind == 1:
+            base = rng.normal(size=(max(1, n // 2), 4))
+            rows = base[rng.integers(0, len(base), size=n)]
+        else:
+            rows = rng.integers(0, 2, size=(n, 3)).astype(np.float64)
+        yield trial, rows
+
+
 class TestMergeSequence:
     def test_matches_naive_oracle_all_linkages(self):
         rng = np.random.default_rng(42)
-        for trial in range(100):
-            n = int(rng.integers(2, 9))
-            rows = rng.normal(size=(n, 4))
+        for trial, rows in _oracle_inputs(rng, 300):
             dist = cosine_distance_matrix(rows)
             for linkage in LINKAGES:
                 got = linkage_merge_sequence(dist, linkage)
@@ -65,14 +78,18 @@ class TestMergeSequence:
     def test_cophenetic_matches_scipy(self):
         from scipy.cluster.hierarchy import linkage as scipy_linkage
         rng = np.random.default_rng(3)
-        rows = rng.normal(size=(10, 5))
-        dist = cosine_distance_matrix(rows)
-        condensed = squareform(dist, checks=False)
-        for linkage in LINKAGES:
-            mine = linkage_merge_sequence(dist, linkage)
-            theirs = scipy_linkage(condensed, method=linkage)
-            np.testing.assert_allclose(cophenet(mine), cophenet(theirs),
-                                       rtol=1e-8, atol=1e-10)
+        # n = 300 has no tied distances and runs the cached-neighbour
+        # bookkeeping through hundreds of invalidations and rescans
+        for n, linkages in ((10, LINKAGES), (300, MONOTONE_LINKAGES)):
+            rows = rng.normal(size=(n, 5))
+            dist = cosine_distance_matrix(rows)
+            condensed = squareform(dist, checks=False)
+            assert np.unique(condensed).size == condensed.size
+            for linkage in linkages:
+                mine = linkage_merge_sequence(dist, linkage)
+                theirs = scipy_linkage(condensed, method=linkage)
+                np.testing.assert_allclose(cophenet(mine), cophenet(theirs),
+                                           rtol=1e-8, atol=1e-10, err_msg=f"{linkage}, n={n}")
 
     def test_tie_break_prefers_lowest_pair(self):
         # four identical points: all pairs at distance 0

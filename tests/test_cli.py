@@ -153,3 +153,41 @@ def test_validation_errors_exit_2(tmp_path):
 
     missing = main(["evaluate", str(tmp_path / "nope.json"), str(tmp_path / "nope.json")])
     assert missing == 2
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_features_exit_2(tmp_path, cell):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"1,2\n3,{cell}\n5,6\n")
+    rc = main(["segment", str(bad), "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": "0", "tags": [{"tag": "a", "confidence": 0.5}',
+    '{"id": "0", "tags": [{"tag": "a"}]}',
+    '{"id": "0", "tags": [{"confidence": 0.5}]}',
+], ids=["truncated", "no-confidence", "no-tag"])
+def test_malformed_detections_exit_2(fixture_dir, tmp_path, line):
+    good = (fixture_dir / "detections.jsonl").read_text().splitlines()
+    bad = tmp_path / "detections.jsonl"
+    bad.write_text("\n".join(good[:3] + [line] + good[4:]) + "\n")
+    rc = main(["segment", str(fixture_dir / "features.csv"), "--detections", str(bad),
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+
+
+def test_malformed_jsonl_features_exit_2(tmp_path):
+    bad = tmp_path / "features.jsonl"
+    bad.write_text('{"id": "a", "vector": [1.0, 2.0]}\n{"id": "b", "vector": [3.0,\n')
+    rc = main(["segment", str(bad), "--format", "jsonl", "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+
+
+def test_malformed_segmentation_exit_2(fixture_dir, tmp_path):
+    bad = tmp_path / "pred.json"
+    bad.write_text('{"n": 45, "starts": [0, 15,\n')
+    gt = str(fixture_dir / "ground_truth.json")
+    assert main(["evaluate", str(bad), gt]) == 2
+    assert main(["evaluate", gt, str(bad)]) == 2
