@@ -26,6 +26,7 @@ from .datamodel import (
     load_concept_detections,
     load_feature_stream,
     load_segmentation,
+    read_json_object,
     report_csv_header,
     report_csv_row,
     save_concept_detections,
@@ -147,8 +148,7 @@ def _cmd_gridsearch(args) -> int:
     gt = load_segmentation(args.gt)
     config = _load_config(args)
     if args.grid:
-        with Path(args.grid).open() as fh:
-            config = PipelineConfig.from_dict({**config.to_dict(), "grid": json.load(fh)})
+        config = PipelineConfig.from_dict({**config.to_dict(), "grid": read_json_object(args.grid)})
     rows = grid_search(features, detections, gt, config, provider=_provider(args))
     csv_text = grid_rows_to_csv(rows)
     if args.out:

@@ -42,6 +42,16 @@ class Frame:
     timestamp: Optional[float] = None
 
 
+def _as_index(value, what: str) -> int:
+    """``value`` as an int: ints, numpy integers and integral floats pass;
+    fractional, non-finite, boolean and non-numeric values are rejected."""
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer())
+    if not integral or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Segmentation:
     """An ordered partition of ``{0, ..., n-1}`` into contiguous segments.
@@ -55,9 +65,10 @@ class Segmentation:
     starts: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_index(self.n, "segmentation n"))
         if self.n < 1:
             raise ValidationError(f"segmentation needs n >= 1, got n={self.n}")
-        starts = tuple(int(s) for s in self.starts)
+        starts = tuple(_as_index(s, "segment start") for s in self.starts)
         object.__setattr__(self, "starts", starts)
         if not starts or starts[0] != 0:
             raise ValidationError(f"first segment must start at 0, got starts={starts[:3]}...")
@@ -236,6 +247,23 @@ def _parse_float(cell: str, row: int, col: int) -> float:
         raise ValidationError(f"row {row}, column {col}: non-numeric cell {cell!r}") from None
 
 
+def read_json_object(path: str | Path) -> dict:
+    """Parse a JSON file whose top level must be an object.
+
+    Malformed JSON and any other top-level value raise
+    :class:`ValidationError` naming the file.
+    """
+    with Path(path).open() as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{path}: malformed JSON at line {exc.lineno} ({exc.msg})") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
+    return obj
+
+
 def _parse_json_line(line: str, row: int) -> dict:
     try:
         obj = json.loads(line)
@@ -349,18 +377,14 @@ def save_segmentation(seg: Segmentation, path: str | Path) -> None:
 
 
 def load_segmentation(path: str | Path) -> Segmentation:
-    with Path(path).open() as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: malformed JSON at line {exc.lineno} ({exc.msg})") from None
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
+    obj = read_json_object(path)
     try:
-        return Segmentation(n=int(obj["n"]), starts=tuple(obj["starts"]))
+        n, starts = obj["n"], obj["starts"]
     except KeyError as exc:
         raise ValidationError(f"segmentation file missing field {exc}") from None
+    if not isinstance(starts, list):
+        raise ValidationError(f"{path}: 'starts' must be a list, got {starts!r}")
+    return Segmentation(n=n, starts=tuple(starts))
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
@@ -370,9 +394,15 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    with Path(path).open() as fh:
-        obj = json.load(fh)
-    return EvalReport(**{k: obj[k] for k in REPORT_CSV_FIELDS})
+    obj = read_json_object(path)
+    try:
+        fields = {k: obj[k] for k in REPORT_CSV_FIELDS}
+    except KeyError as exc:
+        raise ValidationError(f"report file missing field {exc}") from None
+    try:
+        return EvalReport(**fields)
+    except TypeError as exc:  # a non-numeric count or score
+        raise ValidationError(f"{path}: malformed report ({exc})") from None
 
 
 REPORT_CSV_FIELDS = ("precision", "recall", "fmeasure", "tp", "fp", "fn", "gce", "lce")

@@ -28,6 +28,7 @@ from .datamodel import (
     FeatureStream,
     Segmentation,
     ValidationError,
+    read_json_object,
     save_segmentation,
 )
 from .evaluate import MatchParams, f_measure
@@ -91,8 +92,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        with Path(path).open() as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json_object(path))
 
     def to_dict(self) -> dict:
         out = {

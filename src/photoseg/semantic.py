@@ -17,14 +17,16 @@ takes a seed and is deterministic given it.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.ndimage import convolve1d
 
-from .datamodel import ConceptDetections, ValidationError
+from .datamodel import ConceptDetections, ValidationError, read_json_object
 
 
 class UnknownTagError(ValidationError):
@@ -40,6 +42,13 @@ class SimilarityProvider:
 
     Implementations must keep similarity symmetric, within [0, 1], and equal
     to 1 for identical meanings.
+
+    ``tag_weights(meanings)`` takes one meaning list per distinct tag and
+    returns the (v, v) float64 tag-weight matrix: entry (i, j), i != j, is
+    the maximum of ``similarity(a, b)`` over ``a`` in ``meanings[i]`` and
+    ``b`` in ``meanings[j]``, and the diagonal is 0. This base class
+    computes it pair by pair. A subclass may override it with a faster
+    path, which must return the same matrix bit for bit.
     """
 
     def meanings(self, tag: str) -> list[str]:
@@ -47,6 +56,16 @@ class SimilarityProvider:
 
     def similarity(self, meaning_a: str, meaning_b: str) -> float:
         raise NotImplementedError
+
+    def tag_weights(self, meanings: Sequence[Sequence[str]]) -> np.ndarray:
+        v = len(meanings)
+        weights = np.zeros((v, v), dtype=np.float64)
+        for i in range(v):
+            for j in range(i + 1, v):
+                weights[i, j] = weights[j, i] = max(
+                    self.similarity(ma, mb) for ma in meanings[i] for mb in meanings[j]
+                )
+        return weights
 
 
 class FileSimilarityProvider(SimilarityProvider):
@@ -68,10 +87,19 @@ class FileSimilarityProvider(SimilarityProvider):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FileSimilarityProvider":
-        with Path(path).open() as fh:
-            obj = json.load(fh)
-        sims = {(str(a), str(b)): float(v) for a, b, v in obj.get("sims", [])}
-        return cls(obj.get("meanings", {}), sims)
+        obj = read_json_object(path)
+        meanings = obj.get("meanings", {})
+        if not isinstance(meanings, dict) or not all(
+                isinstance(ms, list) and all(isinstance(m, str) for m in ms)
+                for ms in meanings.values()):
+            raise ValidationError(f"{path}: 'meanings' must map each tag to a list of strings")
+        try:
+            sims = {(str(a), str(b)): float(v) for a, b, v in obj.get("sims", [])}
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{path}: each 'sims' entry must be [meaning_a, meaning_b, value] ({exc})"
+            ) from None
+        return cls(meanings, sims)
 
     def meanings(self, tag: str) -> list[str]:
         return self._meanings.get(tag, [])
@@ -80,6 +108,33 @@ class FileSimilarityProvider(SimilarityProvider):
         if meaning_a == meaning_b:
             return 1.0
         return self._sims.get((meaning_a, meaning_b), 0.0)
+
+    def tag_weights(self, meanings: Sequence[Sequence[str]]) -> np.ndarray:
+        # Scatter each listed pair, and each meaning paired with itself at 1,
+        # onto the tags owning those meanings and keep the maximum per tag
+        # pair: O(|sims|) work, never the (m*v)^2 meaning-pair grid.
+        owners: dict[str, list[int]] = {}
+        for i, ms in enumerate(meanings):
+            for m in ms:
+                owners.setdefault(m, []).append(i)
+        rows: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
+        pairs = itertools.chain(((m, m, 1.0) for m in owners),
+                                ((a, b, value) for (a, b), value in self._sims.items()))
+        for a, b, value in pairs:
+            if a in owners and b in owners:
+                ia, ib = owners[a], owners[b]
+                for i in ia:
+                    rows.extend([i] * len(ib))
+                cols.extend(ib * len(ia))
+                vals.extend([value] * (len(ia) * len(ib)))
+        v = len(meanings)
+        weights = np.zeros((v, v), dtype=np.float64)
+        np.maximum.at(weights, (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)),
+                      np.asarray(vals, dtype=np.float64))
+        np.fill_diagonal(weights, 0.0)
+        return weights
 
 
 class ExactMatchProvider(SimilarityProvider):
@@ -94,6 +149,10 @@ class ExactMatchProvider(SimilarityProvider):
 
     def similarity(self, meaning_a: str, meaning_b: str) -> float:
         return 1.0 if meaning_a == meaning_b else 0.0
+
+    def tag_weights(self, meanings: Sequence[Sequence[str]]) -> np.ndarray:
+        # distinct tags never share their single meaning
+        return np.zeros((len(meanings), len(meanings)), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -157,12 +216,17 @@ class SemanticVocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "SemanticVocabulary":
-        with Path(path).open() as fh:
-            obj = json.load(fh)
-        return cls(tuple(
-            ConceptCluster(c["representative"], tuple(c["members"]))
-            for c in obj["clusters"]
-        ))
+        obj = read_json_object(path)
+        try:
+            clusters = tuple(
+                ConceptCluster(c["representative"], tuple(c["members"]))
+                for c in obj["clusters"]
+            )
+        except KeyError as exc:
+            raise ValidationError(f"vocabulary file missing field {exc}") from None
+        except TypeError as exc:
+            raise ValidationError(f"{path}: malformed cluster entry ({exc})") from None
+        return cls(clusters)
 
 
 def build_concept_graph(det: ConceptDetections, provider: SimilarityProvider) -> ConceptGraph:
@@ -174,34 +238,25 @@ def build_concept_graph(det: ConceptDetections, provider: SimilarityProvider) ->
     tags = det.unique_tags()
     if not tags:
         raise ValidationError("no tags observed, cannot build a concept graph")
-    meanings = {}
+    meanings = []
     for tag in tags:
         ms = provider.meanings(tag)
         if not ms:
             raise UnknownTagError(tag)
-        meanings[tag] = ms
-    v = len(tags)
-    weights = np.zeros((v, v), dtype=np.float64)
-    for i in range(v):
-        for j in range(i + 1, v):
-            best = max(
-                provider.similarity(ma, mb)
-                for ma in meanings[tags[i]]
-                for mb in meanings[tags[j]]
-            )
-            weights[i, j] = weights[j, i] = best
-    return ConceptGraph(tags=tuple(tags), weights=weights)
+        meanings.append(ms)
+    return ConceptGraph(tags=tuple(tags), weights=provider.tag_weights(meanings))
 
 
 def _farthest_point_kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, float]:
     """Seeded greedy max-min init, then Lloyd iterations. Returns labels and distortion."""
     n = points.shape[0]
     rng = np.random.default_rng(seed)
-    centers = [points[int(rng.integers(n))]]
-    while len(centers) < k:
-        d = np.min([((points - c) ** 2).sum(axis=1) for c in centers], axis=0)
-        centers.append(points[int(np.argmax(d))])
-    centers = np.asarray(centers)
+    chosen = [int(rng.integers(n))]
+    d = np.full(n, np.inf)  # squared distance to the nearest chosen centre
+    for _ in range(k - 1):
+        d = np.minimum(d, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
+        chosen.append(int(np.argmax(d)))
+    centers = points[chosen]
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(100):
         dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)

@@ -23,6 +23,7 @@ from .datamodel import (
     FeatureStream,
     Segmentation,
     ValidationError,
+    read_json_object,
 )
 
 
@@ -65,19 +66,25 @@ class SynthSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SynthSpec":
-        with Path(path).open() as fh:
-            obj = json.load(fh)
-        segments = tuple(
-            SegmentSpec(
-                length=int(s["length"]),
-                contextual_mean=tuple(s["contextual_mean"]),
-                concepts=tuple((t, c) for t, c in sorted(s.get("concepts", {}).items())),
+        obj = read_json_object(path)
+        try:
+            segments = tuple(
+                SegmentSpec(
+                    length=int(s["length"]),
+                    contextual_mean=tuple(s["contextual_mean"]),
+                    concepts=tuple((t, c) for t, c in sorted(s.get("concepts", {}).items())),
+                )
+                for s in obj["segments"]
             )
-            for s in obj["segments"]
-        )
-        return cls(n=int(obj["n"]), segments=segments,
-                   noise_sigma=float(obj.get("noise_sigma", 0.0)),
-                   seed=int(obj.get("seed", 0)))
+            return cls(n=int(obj["n"]), segments=segments,
+                       noise_sigma=float(obj.get("noise_sigma", 0.0)),
+                       seed=int(obj.get("seed", 0)))
+        except ValidationError:
+            raise
+        except KeyError as exc:
+            raise ValidationError(f"synth spec missing field {exc}") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError(f"{path}: malformed synth spec ({exc})") from None
 
     def save(self, path: str | Path) -> None:
         obj = {

@@ -228,6 +228,47 @@ def best_two_partition_score(weights):
     return best_score, best_side
 
 
+def rescan_init_kmeans(points, k, seed):
+    """Seeded farthest-point k-means whose init recomputes, at every step,
+    each point's distance to every centre chosen so far. Labels and
+    distortion, as the library's ``_farthest_point_kmeans`` must give."""
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = [points[int(rng.integers(n))]]
+    while len(centers) < k:
+        d = np.min([((points - c) ** 2).sum(axis=1) for c in centers], axis=0)
+        centers.append(points[int(np.argmax(d))])
+    centers = np.asarray(centers)
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(100):
+        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(dists, axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                new_centers[j] = points[mask].mean(axis=0)
+        if np.allclose(new_centers, centers):
+            centers = new_centers
+            break
+        centers = new_centers
+    distortion = float(((points - centers[labels]) ** 2).sum())
+    return labels, distortion
+
+
+def pairwise_tag_weights(provider, meanings):
+    """Best meaning-pair similarity per tag pair, one ``similarity`` call
+    per meaning pair; zero diagonal."""
+    v = len(meanings)
+    out = np.zeros((v, v))
+    for i in range(v):
+        for j in range(v):
+            if i != j:
+                out[i, j] = max(provider.similarity(a, b)
+                                for a in meanings[i] for b in meanings[j])
+    return out
+
+
 def brute_semantic_matrix(det_frames, clusters):
     """Double loop over frames and detections, no vectorization."""
     n = len(det_frames)

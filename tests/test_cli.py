@@ -191,3 +191,45 @@ def test_malformed_segmentation_exit_2(fixture_dir, tmp_path):
     gt = str(fixture_dir / "ground_truth.json")
     assert main(["evaluate", str(bad), gt]) == 2
     assert main(["evaluate", gt, str(bad)]) == 2
+
+
+def _truncated(path: Path, text: str) -> str:
+    path.write_text(text[: len(text) // 2])
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["vocab", "featurize", "segment", "evaluate",
+                                     "gridsearch", "synth"])
+def test_truncated_json_exit_2(fixture_dir, tmp_path, capsys, command):
+    # each subcommand reads one JSON file that is cut off mid-object
+    det = str(fixture_dir / "detections.jsonl")
+    features = str(fixture_dir / "features.csv")
+    gt = str(fixture_dir / "ground_truth.json")
+    out = str(tmp_path / "out")
+    bad = tmp_path / "bad.json"
+    argv = {
+        "vocab": lambda: ["vocab", det, "--out", out, "--similarity", _truncated(
+            bad, json.dumps({"meanings": {"a": ["a"]}, "sims": [["a", "b", 0.5]]}))],
+        "featurize": lambda: ["featurize", det, "--out", out, "--vocab", _truncated(
+            bad, json.dumps({"clusters": [{"representative": "a", "members": ["a"]}]}))],
+        "segment": lambda: ["segment", features, "--detections", det, "--out", out,
+                            "--config", _truncated(bad, json.dumps({"cutoff": 0.4}))],
+        "evaluate": lambda: ["evaluate", _truncated(bad, (fixture_dir / "ground_truth.json")
+                                                    .read_text()), gt],
+        "gridsearch": lambda: ["gridsearch", features, "--gt", gt, "--grid",
+                               _truncated(bad, json.dumps({"cutoff": [0.4, 1.9]}))],
+        "synth": lambda: ["synth", _truncated(
+            bad, json.dumps({"n": 1, "segments": [{"length": 1, "contextual_mean": [0]}]})),
+            "--outdir", out],
+    }[command]()
+    assert main(argv) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("starts", ["[0, 15.5, 30]", '[0, "15", 30]', "[0, true, 30]"],
+                         ids=["fractional", "string", "bool"])
+def test_non_integral_starts_exit_2(fixture_dir, tmp_path, capsys, starts):
+    bad = tmp_path / "pred.json"
+    bad.write_text(f'{{"n": 45, "starts": {starts}}}\n')
+    assert main(["evaluate", str(bad), str(fixture_dir / "ground_truth.json")]) == 2
+    assert "segment start must be an integer" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from photoseg.datamodel import (
     ValidationError,
     load_concept_detections,
     load_feature_stream,
+    load_report,
     load_segmentation,
     save_concept_detections,
     save_feature_stream,
@@ -161,3 +162,45 @@ class TestEvalReportIO:
         with pytest.raises(ValidationError, match="cannot exceed"):
             EvalReport(precision=1, recall=1, fmeasure=1, tp=1, fp=0, fn=0,
                        gce=0.1, lce=0.3)
+
+
+class TestIntegralIndices:
+    @pytest.mark.parametrize("start", [1.7, "1", "x", True, float("nan"), None])
+    def test_rejects_non_integral_start(self, start):
+        with pytest.raises(ValidationError, match="segment start must be an integer"):
+            Segmentation(10, (0, start))
+
+    @pytest.mark.parametrize("n", [10.5, "10", float("inf")])
+    def test_rejects_non_integral_n(self, n):
+        with pytest.raises(ValidationError, match="segmentation n must be an integer"):
+            Segmentation(n, (0,))
+
+    def test_accepts_numpy_integers_and_integral_floats(self):
+        seg = Segmentation(np.int64(10), (0, np.int32(4), 7.0, np.float64(8.0)))
+        assert seg == Segmentation(10, (0, 4, 7, 8))
+        assert all(type(s) is int for s in (seg.n, *seg.starts))
+
+    @pytest.mark.parametrize("body", ['{"n": 10.5, "starts": [0]}',
+                                      '{"n": "ten", "starts": [0]}',
+                                      '{"n": 10, "starts": [0, 1.7]}',
+                                      '{"n": 10, "starts": 0}',
+                                      '{"n": 10}',
+                                      '[10, [0]]'])
+    def test_load_segmentation_rejects(self, tmp_path, body):
+        path = tmp_path / "seg.json"
+        path.write_text(body)
+        with pytest.raises(ValidationError):
+            load_segmentation(path)
+
+
+@pytest.mark.parametrize("body", ['{"precision": 1.0, "recall"',
+                                  '["precision", 1.0]',
+                                  '{"precision": 1.0, "recall": 1.0}',
+                                  '{"precision": 1.0, "recall": 1.0, "fmeasure": 1.0, '
+                                  '"tp": "2", "fp": 0, "fn": 0, "gce": null, "lce": null}'],
+                         ids=["truncated", "not-an-object", "missing-field", "string-count"])
+def test_load_report_rejects_malformed(tmp_path, body):
+    path = tmp_path / "report.json"
+    path.write_text(body)
+    with pytest.raises(ValidationError):
+        load_report(path)

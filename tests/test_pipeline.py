@@ -92,6 +92,14 @@ class TestConfig:
         assert cfg.agglo.cutoff == 0.8
         assert cfg.grid == {"cutoff": [0.2, 0.4]}
 
+    @pytest.mark.parametrize("body", ['{"cutoff": 0.8', '[["cutoff", 0.8]]'],
+                             ids=["truncated", "not-an-object"])
+    def test_malformed_file_rejected(self, tmp_path, body):
+        path = tmp_path / "config.json"
+        path.write_text(body)
+        with pytest.raises(ValidationError):
+            PipelineConfig.from_file(path)
+
 
 class TestGridSearch:
     def test_single_config_equals_direct_run(self, clean_fixture):

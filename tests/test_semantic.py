@@ -8,7 +8,9 @@ from photoseg.semantic import (
     ExactMatchProvider,
     FileSimilarityProvider,
     SemanticVocabulary,
+    SimilarityProvider,
     UnknownTagError,
+    _farthest_point_kmeans,
     assemble_semantic_features,
     build_concept_graph,
     cluster_concepts,
@@ -16,7 +18,12 @@ from photoseg.semantic import (
     smooth_temporal,
 )
 
-from oracles import best_two_partition_score, brute_semantic_matrix
+from oracles import (
+    best_two_partition_score,
+    brute_semantic_matrix,
+    pairwise_tag_weights,
+    rescan_init_kmeans,
+)
 
 
 def detections(*frames):
@@ -61,6 +68,79 @@ class TestBuildConceptGraph:
         graph = build_concept_graph(det, prov)
         np.testing.assert_array_equal(graph.weights, graph.weights.T)
         assert np.all(np.diag(graph.weights) == 0)
+
+
+def random_table(rng):
+    """Tags with 1-4 meanings drawn from a small pool, so meanings repeat
+    within and across tags; sims include self pairs and pairs naming
+    meanings no tag owns."""
+    pool = [f"m{i}" for i in range(int(rng.integers(1, 20)))]
+    meanings = {f"t{i}": [str(m) for m in rng.choice(pool, size=int(rng.integers(1, 5)))]
+                for i in range(int(rng.integers(1, 12)))}
+    names = pool + ["unowned0", "unowned1"]
+    sims = {}
+    for _ in range(int(rng.integers(0, 3 * len(names)))):
+        a, b = (str(m) for m in rng.choice(names, size=2))
+        sims[(a, b)] = float(rng.choice([rng.uniform(), 0.0, 1.0]))
+    return meanings, sims
+
+
+class TestTagWeights:
+    def test_file_provider_matches_pairwise_loop(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            meanings, sims = random_table(rng)
+            prov = FileSimilarityProvider(meanings, sims)
+            observed = sorted(rng.choice(sorted(meanings), size=int(rng.integers(1, len(meanings) + 1)),
+                                         replace=False))
+            ms = [prov.meanings(str(t)) for t in observed]
+            fast = prov.tag_weights(ms)
+            slow = SimilarityProvider.tag_weights(prov, ms)
+            assert fast.dtype == slow.dtype == np.float64
+            assert fast.tobytes() == slow.tobytes()
+            np.testing.assert_array_equal(slow, pairwise_tag_weights(prov, ms))
+
+    def test_shared_meaning_and_self_pair(self):
+        prov = table_provider({"a": ["x", "y"], "b": ["y"], "c": ["z"]},
+                              {("z", "z"): 0.3, ("x", "z"): 0.4, ("q", "z"): 0.9})
+        w = prov.tag_weights([prov.meanings(t) for t in "abc"])
+        np.testing.assert_array_equal(w, [[0.0, 1.0, 0.4], [1.0, 0.0, 0.0], [0.4, 0.0, 0.0]])
+
+    def test_single_tag(self):
+        prov = table_provider({"a": ["x", "y"]}, {("x", "y"): 0.5, ("x", "x"): 0.2})
+        assert prov.tag_weights([["x", "y"]]).tobytes() == np.zeros((1, 1)).tobytes()
+
+    def test_exact_match_provider_matches_pairwise_loop(self):
+        prov = ExactMatchProvider()
+        for v in (1, 2, 7):
+            ms = [prov.meanings(f"t{i}") for i in range(v)]
+            assert prov.tag_weights(ms).tobytes() == \
+                SimilarityProvider.tag_weights(prov, ms).tobytes()
+
+
+class TestFarthestPointKmeans:
+    def test_matches_rescan_init_oracle(self):
+        # random, duplicated (argmax ties) and 0/1 rows, each at k = 1,
+        # k = v - 1 and a random k in between
+        rng = np.random.default_rng(17)
+        checked = 0
+        for case in range(90):
+            v, dim = int(rng.integers(2, 40)), int(rng.integers(1, 8))
+            if case % 3 == 0:
+                points = rng.normal(size=(v, dim))
+                points /= np.linalg.norm(points, axis=1, keepdims=True)
+            elif case % 3 == 1:
+                distinct = rng.normal(size=(int(rng.integers(1, v // 2 + 2)), dim))
+                points = distinct[rng.integers(len(distinct), size=v)]
+            else:
+                points = rng.integers(0, 2, size=(v, dim)).astype(np.float64)
+            for k in sorted({1, v - 1, int(rng.integers(1, v))}):
+                labels, distortion = _farthest_point_kmeans(points, k, seed=[case, k])
+                want_labels, want_distortion = rescan_init_kmeans(points, k, seed=[case, k])
+                assert labels.tobytes() == want_labels.tobytes()
+                assert distortion == want_distortion
+                checked += 1
+        assert checked >= 200
 
 
 class TestClusterConcepts:
@@ -239,3 +319,32 @@ def test_file_similarity_provider_defaults(tmp_path):
     assert prov.similarity("feline", "unlisted") == 0.0
     assert prov.meanings("cat") == ["feline"]
     assert prov.meanings("unknown") == []
+
+
+@pytest.mark.parametrize("body", ['{"meanings": {"cat": ["feline"]}',
+                                  '[]',
+                                  '{"meanings": {"cat": "feline"}}',
+                                  '{"meanings": {"cat": [["feline"]]}}',
+                                  '{"sims": [["feline", "canine"]]}',
+                                  '{"sims": [["feline", "canine", "high"]]}',
+                                  '{"sims": [["feline", "canine", 1.5]]}'],
+                         ids=["truncated", "not-an-object", "meanings-not-list",
+                              "meaning-not-string", "short-pair", "string-value",
+                              "out-of-range"])
+def test_similarity_file_malformed(tmp_path, body):
+    path = tmp_path / "sims.json"
+    path.write_text(body)
+    with pytest.raises(ValidationError):
+        FileSimilarityProvider.from_file(path)
+
+
+@pytest.mark.parametrize("body", ['{"clusters": [', '{}', '{"clusters": [{"members": ["a"]}]}',
+                                  '{"clusters": [3]}',
+                                  '{"clusters": [{"representative": "a", "members": 4}]}'],
+                         ids=["truncated", "no-clusters", "no-representative",
+                              "cluster-not-object", "members-not-list"])
+def test_vocabulary_file_malformed(tmp_path, body):
+    path = tmp_path / "vocab.json"
+    path.write_text(body)
+    with pytest.raises(ValidationError):
+        SemanticVocabulary.load(path)

@@ -84,3 +84,16 @@ def test_block_spec_orthogonal_means():
     for i in range(4):
         for j in range(i + 1, 4):
             assert not (tag_sets[i] & tag_sets[j])
+
+
+@pytest.mark.parametrize("body", ['{"n": 2, "segments": [', '[2]', '{"n": 2}',
+                                  '{"n": 2, "segments": [{"contextual_mean": [0.0]}]}',
+                                  '{"n": "two", "segments": []}',
+                                  '{"n": 1, "segments": [{"length": 1, "contextual_mean": 0}]}'],
+                         ids=["truncated", "not-an-object", "no-segments", "no-length",
+                              "string-n", "scalar-mean"])
+def test_spec_file_malformed(tmp_path, body):
+    path = tmp_path / "spec.json"
+    path.write_text(body)
+    with pytest.raises(ValidationError):
+        SynthSpec.from_file(path)
