@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -274,6 +275,21 @@ def _parse_json_line(line: str, row: int) -> dict:
     return obj
 
 
+def _csv_rows(path: Path) -> list[list[float]]:
+    """Every CSV cell through ``float()``, skipping empty lines.
+
+    The fallback for files ``np.loadtxt`` refuses: it also reads quoted
+    cells and underscores (``"1.0"``, ``1_0``), and its errors name the
+    offending row and column.
+    """
+    rows = []
+    with path.open(newline="") as fh:
+        for r, record in enumerate(csv.reader(fh)):
+            if record:
+                rows.append([_parse_float(c, r, j) for j, c in enumerate(record)])
+    return rows
+
+
 def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
     """Load contextual feature vectors, one frame per row.
 
@@ -284,12 +300,14 @@ def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
     """
     path = Path(path)
     if format in ("csv",):
-        rows: list[list[float]] = []
-        with path.open(newline="") as fh:
-            for r, record in enumerate(csv.reader(fh)):
-                if not record:
-                    continue
-                rows.append([_parse_float(c, r, j) for j, c in enumerate(record)])
+        try:
+            with warnings.catch_warnings():
+                # an empty file warns here; it is rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                                  dtype=np.float64)
+        except ValueError:
+            rows = _csv_rows(path)
         frames = None
     elif format in ("jsonl", "json-lines"):
         rows = []
@@ -308,7 +326,7 @@ def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
     else:
         raise ValidationError(f"unknown feature format {format!r}")
 
-    if not rows:
+    if len(rows) == 0:
         raise ValidationError(f"empty feature file: {path}")
     width = len(rows[0])
     for r, row in enumerate(rows):

@@ -151,6 +151,24 @@ def _adjacent_energies(stream: np.ndarray) -> np.ndarray:
     return np.exp(-(1.0 - sims))
 
 
+def _pair_energies(stream: np.ndarray, radius: int) -> np.ndarray:
+    """``out[i, radius + d] = pairwise_energy(stream[i], stream[i + d])`` for
+    every ``0 < |d| <= radius`` inside the stream; other entries are 0.
+
+    Each pair is computed once with :func:`pairwise_energy` and stored in
+    both directions, so the values are bit-identical to per-pair calls (the
+    energy is symmetric bit for bit: the dot product and the norm product
+    commute exactly).
+    """
+    n = stream.shape[0]
+    out = np.zeros((n, 2 * radius + 1))
+    for d in range(1, min(radius, n - 1) + 1):
+        for i in range(n - d):
+            out[i, radius + d] = out[i + d, radius - d] = \
+                pairwise_energy(stream[i], stream[i + d])
+    return out
+
+
 def labeling_energy(labels: np.ndarray, unary_ac: np.ndarray, unary_adw: np.ndarray,
                     stream: np.ndarray, params: GcParams) -> float:
     """Full energy of a labeling: mixed unary plus neighborhood-averaged
@@ -161,14 +179,16 @@ def labeling_energy(labels: np.ndarray, unary_ac: np.ndarray, unary_adw: np.ndar
     total = float(mixed[np.arange(n), labels].sum())
     if params.pairwise_weight == 0.0 or n == 1:
         return total
-    sizes = _neighbor_sizes(n, params.radius)
+    radius = params.radius
+    sizes = _neighbor_sizes(n, radius)
+    pairs = _pair_energies(np.asarray(stream, dtype=np.float64), radius)
     pair = 0.0
     for i in range(n):
-        lo = max(0, i - params.radius)
-        hi = min(n - 1, i + params.radius)
+        lo = max(0, i - radius)
+        hi = min(n - 1, i + radius)
         for j in range(lo, hi + 1):
             if j != i and labels[j] != labels[i]:
-                pair += pairwise_energy(stream[i], stream[j]) / sizes[i]
+                pair += pairs[i, j - i + radius] / sizes[i]
     return total + params.pairwise_weight * pair
 
 
@@ -183,24 +203,26 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> n
     # frames' neighborhood averages
     switch_cost = params.pairwise_weight * adj * (1.0 / sizes[:-1] + 1.0 / sizes[1:])
 
+    labels_idx = np.arange(num_labels)
     cost = mixed[0].copy()
     back = np.zeros((n, num_labels), dtype=np.int64)
-    back[0] = np.arange(num_labels)
+    back[0] = labels_idx
+    # switching into label l comes from the best label below l; label 0
+    # has none, so its switch cost stays inf
+    switch = np.full(num_labels, np.inf)
+    new_min = np.ones(num_labels, dtype=bool)
+    from_label = np.zeros(num_labels, dtype=np.int64)
     for i in range(1, n):
         prefix_best = np.minimum.accumulate(cost)
-        prefix_arg = np.zeros(num_labels, dtype=np.int64)
-        best = 0
-        for l in range(1, num_labels):
-            if cost[l] < cost[best]:
-                best = l
-            prefix_arg[l] = best
-        stay = cost
-        switch = np.full(num_labels, np.inf)
-        switch[1:] = prefix_best[:-1] + switch_cost[i - 1]
-        take_stay = stay <= switch
-        back[i] = np.where(take_stay, np.arange(num_labels),
-                           np.concatenate(([0], prefix_arg[:-1])))
-        cost = mixed[i] + np.where(take_stay, stay, switch)
+        # the first label attaining each prefix minimum: the last strict
+        # new minimum at or below it
+        np.less(cost[1:], prefix_best[:-1], out=new_min[1:])
+        prefix_arg = np.maximum.accumulate(np.where(new_min, labels_idx, 0))
+        from_label[1:] = prefix_arg[:-1]
+        np.add(prefix_best[:-1], switch_cost[i - 1], out=switch[1:])
+        take_stay = cost <= switch
+        back[i] = np.where(take_stay, labels_idx, from_label)
+        cost = mixed[i] + np.where(take_stay, cost, switch)
 
     labels = np.zeros(n, dtype=np.int64)
     labels[-1] = int(np.argmin(cost))
@@ -216,28 +238,32 @@ def _icm_refine(labels: np.ndarray, mixed: np.ndarray, stream: np.ndarray,
     Only the terms involving the updated frame change, so each move is
     scored by the local energy alone.
     """
-    labels = labels.copy()
-    n = labels.shape[0]
-    sizes = _neighbor_sizes(n, params.radius)
+    # plain Python lists: the scan reads single entries, where numpy
+    # scalar indexing would dominate
+    labels = labels.tolist()
+    n = len(labels)
+    radius = params.radius
+    weight = params.pairwise_weight
+    sizes = _neighbor_sizes(n, radius).tolist()
+    pairs = _pair_energies(stream, radius).tolist()
 
     def local_energy(i: int, cand: int) -> float:
         e = float(mixed[i, cand])
-        lo = max(0, i - params.radius)
-        hi = min(n - 1, i + params.radius)
+        lo = max(0, i - radius)
+        hi = min(n - 1, i + radius)
         for j in range(lo, hi + 1):
             if j != i and labels[j] != cand:
-                e += params.pairwise_weight * pairwise_energy(stream[i], stream[j]) \
-                    * (1.0 / sizes[i] + 1.0 / sizes[j])
+                e += weight * pairs[i][j - i + radius] * (1.0 / sizes[i] + 1.0 / sizes[j])
         return e
 
     for _ in range(max_sweeps):
         changed = False
         for i in range(n):
-            lo = int(labels[i - 1]) if i > 0 else 0
-            hi = int(labels[i + 1]) if i < n - 1 else mixed.shape[1] - 1
+            lo = labels[i - 1] if i > 0 else 0
+            hi = labels[i + 1] if i < n - 1 else mixed.shape[1] - 1
             if lo == hi:
                 continue
-            best_label = int(labels[i])
+            best_label = labels[i]
             best_energy = local_energy(i, best_label)
             for cand in range(lo, hi + 1):
                 if cand == labels[i]:
@@ -250,17 +276,23 @@ def _icm_refine(labels: np.ndarray, mixed: np.ndarray, stream: np.ndarray,
                 changed = True
         if not changed:
             break
-    return labels
+    return np.asarray(labels, dtype=np.int64)
 
 
 def minimize_labels(ls: LabelSpace, unary_ac: np.ndarray, unary_adw: np.ndarray,
                     stream: np.ndarray, params: GcParams) -> np.ndarray:
     """Minimum-energy monotone labeling; exact for radius 1, ICM-refined
-    from that optimum for larger radii."""
+    from that optimum for larger radii.
+
+    Both unary tables must be (n, num_labels) and finite; a NaN or inf
+    entry raises :class:`ValidationError`.
+    """
     rows = np.asarray(stream, dtype=np.float64)
     n = rows.shape[0]
     if unary_ac.shape != (n, ls.num_labels) or unary_adw.shape != (n, ls.num_labels):
         raise ValidationError("unary tables must be (n, num_labels)")
+    if not (np.isfinite(unary_ac).all() and np.isfinite(unary_adw).all()):
+        raise ValidationError("unary tables must be finite")
     mixed = (1.0 - params.unary_mix) * unary_ac + params.unary_mix * unary_adw
     base = GcParams(unary_mix=params.unary_mix, pairwise_weight=params.pairwise_weight,
                     radius=1, softmax_temp=params.softmax_temp)

@@ -12,11 +12,12 @@ is reproducible byte for byte. Stage failures carry the stage name.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .datamodel import (
     FeatureStream,
     Segmentation,
     ValidationError,
+    _as_index,
     read_json_object,
     save_segmentation,
 )
@@ -74,21 +76,23 @@ class PipelineConfig:
     tolerance: int = 5
     grid: Optional[dict] = None
 
-    _FLAT_AGGLO = ("linkage", "cutoff")
-    _FLAT_ADWIN = ("delta", "p", "min_subwindow")
-    _FLAT_GC = ("unary_mix", "pairwise_weight", "radius", "softmax_temp")
-
     @classmethod
     def from_dict(cls, flat: dict) -> "PipelineConfig":
+        """Build from flat keys: this class's fields and those of its nested
+        parameter classes. An unknown key or a value of the wrong type
+        raises :class:`ValidationError`."""
         flat = dict(flat)
-        agglo = AggloParams(**{k: flat.pop(k) for k in cls._FLAT_AGGLO if k in flat})
-        adwin = AdwinParams(**{k: flat.pop(k) for k in cls._FLAT_ADWIN if k in flat})
-        gc = GcParams(**{k: flat.pop(k) for k in cls._FLAT_GC if k in flat})
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(flat) - known
+        hints = _field_types(cls)
+        nested = {}
+        for f in fields(cls):
+            sub = hints[f.name]
+            if is_dataclass(sub):
+                own = {g.name: flat.pop(g.name) for g in fields(sub) if g.name in flat}
+                nested[f.name] = sub(**_checked(sub, own))
+        unknown = set(flat) - (set(hints) - set(nested))
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(agglo=agglo, adwin=adwin, gc=gc, **flat)
+        return cls(**nested, **_checked(cls, flat))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
@@ -123,6 +127,35 @@ class PipelineConfig:
         merged.pop("grid", None)
         merged.update(flat)
         return PipelineConfig.from_dict(merged)
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """``cls``'s resolved field types, read-only; one entry per config class."""
+    return get_type_hints(cls)
+
+
+def _checked(cls, values: dict) -> dict:
+    """``values`` checked against the types of ``cls``'s fields.
+
+    Integer fields go through :func:`_as_index` (integral floats pass and
+    become ints); float fields take ints and floats but not booleans or
+    strings; any other field must be an instance of its type.
+    """
+    hints = _field_types(cls)
+    out = {}
+    for name, value in values.items():
+        kind = hints[name]
+        if kind is int:
+            value = _as_index(value, f"config value {name!r}")
+        elif kind is float:
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValidationError(f"config value {name!r} must be a number, got {value!r}")
+        elif not isinstance(value, get_args(kind) or kind):
+            allowed = " or ".join(t.__name__ for t in get_args(kind) or (kind,))
+            raise ValidationError(f"config value {name!r} must be {allowed}, got {value!r}")
+        out[name] = value
+    return out
 
 
 # declared order for grid expansion and tie-breaking

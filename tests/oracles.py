@@ -5,6 +5,12 @@ brute-force set arithmetic for the consistency errors, full-rescan change
 detection, from-scratch cluster distances, and exhaustive enumeration of
 monotone labelings. Keep these naive; their value is that they share no
 shortcuts with the library.
+
+The loop references for the chain minimiser (``per_pair_labeling_energy``,
+``prefix_scan_chain_optimum``, ``per_pair_icm_refine``) are the exception:
+they call the library's own pair-energy primitives, because they pin its
+labels and energies bit for bit rather than check the optimum, which the
+exhaustive enumeration does.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import itertools
 import math
 
 import numpy as np
+
+from photoseg.graphcut import _adjacent_energies, _neighbor_sizes, pairwise_energy
 
 
 # ------------------------------------------------------- consistency errors
@@ -205,6 +213,105 @@ def brute_force_min_labeling(mixed_unary, stream, pairwise_weight, radius):
         if e < best_e:
             best_e, best_lab = e, lab
     return best_e, best_lab
+
+
+def per_pair_labeling_energy(labels, unary_ac, unary_adw, stream, params):
+    """The library's ``labeling_energy`` as it was before the pair table:
+    one ``pairwise_energy`` call per disagreeing pair, summed in the same
+    order, so the library must match it bit for bit."""
+    labels = np.asarray(labels)
+    n = labels.shape[0]
+    mixed = (1.0 - params.unary_mix) * unary_ac + params.unary_mix * unary_adw
+    total = float(mixed[np.arange(n), labels].sum())
+    if params.pairwise_weight == 0.0 or n == 1:
+        return total
+    sizes = _neighbor_sizes(n, params.radius)
+    pair = 0.0
+    for i in range(n):
+        lo = max(0, i - params.radius)
+        hi = min(n - 1, i + params.radius)
+        for j in range(lo, hi + 1):
+            if j != i and labels[j] != labels[i]:
+                pair += pairwise_energy(stream[i], stream[j]) / sizes[i]
+    return total + params.pairwise_weight * pair
+
+
+def prefix_scan_chain_optimum(mixed, stream, params):
+    """The radius-1 chain DP with a per-label Python scan for the prefix
+    argmin; the labels ``graphcut._chain_optimum`` must give."""
+    n, num_labels = mixed.shape
+    if n == 1:
+        return np.array([int(np.argmin(mixed[0]))])
+    sizes = _neighbor_sizes(n, 1)
+    adj = _adjacent_energies(stream)
+    # cost charged when frames i and i+1 disagree, summed over both
+    # frames' neighborhood averages
+    switch_cost = params.pairwise_weight * adj * (1.0 / sizes[:-1] + 1.0 / sizes[1:])
+
+    cost = mixed[0].copy()
+    back = np.zeros((n, num_labels), dtype=np.int64)
+    back[0] = np.arange(num_labels)
+    for i in range(1, n):
+        prefix_best = np.minimum.accumulate(cost)
+        prefix_arg = np.zeros(num_labels, dtype=np.int64)
+        best = 0
+        for l in range(1, num_labels):
+            if cost[l] < cost[best]:
+                best = l
+            prefix_arg[l] = best
+        stay = cost
+        switch = np.full(num_labels, np.inf)
+        switch[1:] = prefix_best[:-1] + switch_cost[i - 1]
+        take_stay = stay <= switch
+        back[i] = np.where(take_stay, np.arange(num_labels),
+                           np.concatenate(([0], prefix_arg[:-1])))
+        cost = mixed[i] + np.where(take_stay, stay, switch)
+
+    labels = np.zeros(n, dtype=np.int64)
+    labels[-1] = int(np.argmin(cost))
+    for i in range(n - 1, 0, -1):
+        labels[i - 1] = back[i, labels[i]]
+    return labels
+
+
+def per_pair_icm_refine(labels, mixed, stream, params, max_sweeps=50):
+    """ICM with one ``pairwise_energy`` call per scored pair; the labels
+    ``graphcut._icm_refine`` must give."""
+    labels = labels.copy()
+    n = labels.shape[0]
+    sizes = _neighbor_sizes(n, params.radius)
+
+    def local_energy(i: int, cand: int) -> float:
+        e = float(mixed[i, cand])
+        lo = max(0, i - params.radius)
+        hi = min(n - 1, i + params.radius)
+        for j in range(lo, hi + 1):
+            if j != i and labels[j] != cand:
+                e += params.pairwise_weight * pairwise_energy(stream[i], stream[j]) \
+                    * (1.0 / sizes[i] + 1.0 / sizes[j])
+        return e
+
+    for _ in range(max_sweeps):
+        changed = False
+        for i in range(n):
+            lo = int(labels[i - 1]) if i > 0 else 0
+            hi = int(labels[i + 1]) if i < n - 1 else mixed.shape[1] - 1
+            if lo == hi:
+                continue
+            best_label = int(labels[i])
+            best_energy = local_energy(i, best_label)
+            for cand in range(lo, hi + 1):
+                if cand == labels[i]:
+                    continue
+                e = local_energy(i, cand)
+                if e < best_energy - 1e-12:
+                    best_label, best_energy = cand, e
+            if best_label != labels[i]:
+                labels[i] = best_label
+                changed = True
+        if not changed:
+            break
+    return labels
 
 
 # ------------------------------------------------------------ partitions

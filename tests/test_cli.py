@@ -226,6 +226,19 @@ def test_truncated_json_exit_2(fixture_dir, tmp_path, capsys, command):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [{"cutoff": "x"}, {"vocab_size": "x"}, {"radius": 1.5}],
+                         ids=["string-float", "string-int", "fractional-int"])
+def test_mistyped_config_exit_2(fixture_dir, tmp_path, capsys, body):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(body))
+    out = tmp_path / "x.json"
+    rc = main(["segment", str(fixture_dir / "features.csv"), "--config", str(config),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"config value {next(iter(body))!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("starts", ["[0, 15.5, 30]", '[0, "15", 30]', "[0, true, 30]"],
                          ids=["fractional", "string", "bool"])
 def test_non_integral_starts_exit_2(fixture_dir, tmp_path, capsys, starts):

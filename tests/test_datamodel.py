@@ -100,6 +100,48 @@ class TestFeatureStreamIO:
         with pytest.raises(ValidationError, match="empty"):
             load_feature_stream(path)
 
+    @pytest.mark.parametrize("text", [
+        "1,2\n\n3,4\n\n",                  # blank lines
+        "1,2\n   \n3,4\n",                  # whitespace-only line
+        "1\n \t\n2\n",                     # whitespace-only line, one column
+        "\n\n",                             # only blank lines
+        "",
+        "1,nan\n3,4\n",
+        "1,2\n-inf,4\n",
+        '"1.5",2\n3,"4"\n',                 # quoted cells
+        "1_0,2\n3,4\n",                     # underscores
+        "1,2 # note\n3,4\n",
+        "# header\n1,2\n",
+        "1,2,\n3,4,\n",                     # trailing commas
+        "1.5,2e-3\r\n3,4\r\n\r\n",          # CRLF
+        "1\n2.5\n-3\n",                      # one column
+        " 1 , 2\n3,+4\n",
+        "1,2\n3\n",                          # ragged
+        "1,2\n3,oops\n",
+    ])
+    def test_csv_fast_path_agrees_with_per_cell_parse(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "feat.csv"
+        path.write_bytes(text.encode())
+
+        def outcome():
+            try:
+                return load_feature_stream(path).contextual
+            except ValidationError as exc:
+                return str(exc)
+
+        fast = outcome()
+
+        def refuse(*args, **kwargs):
+            raise ValueError("per-cell parse forced")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        per_cell = outcome()
+        if isinstance(per_cell, str):
+            assert fast == per_cell
+        else:
+            assert fast.dtype == per_cell.dtype and fast.shape == per_cell.shape
+            assert fast.tobytes() == per_cell.tobytes()
+
     def test_jsonl_roundtrip(self, tmp_path):
         path = tmp_path / "feat.jsonl"
         frames = (Frame(0, "img0"), Frame(1, "img1"))

@@ -6,6 +6,8 @@ import pytest
 from photoseg.datamodel import Segmentation, ValidationError
 from photoseg.graphcut import (
     GcParams,
+    _chain_optimum,
+    _icm_refine,
     build_label_space,
     labeling_energy,
     labeling_from_segmentation,
@@ -15,7 +17,13 @@ from photoseg.graphcut import (
     unary_energies,
 )
 
-from oracles import brute_force_energy, brute_force_min_labeling
+from oracles import (
+    brute_force_energy,
+    brute_force_min_labeling,
+    per_pair_icm_refine,
+    per_pair_labeling_energy,
+    prefix_scan_chain_optimum,
+)
 
 E_MINUS_1 = 0.36787944117144233
 E_MINUS_2 = 0.1353352832366127
@@ -259,3 +267,55 @@ def _fake_ls(mixed, stream):
     ls.num_labels = num_labels
     ls.atomic = None
     return ls
+
+
+def _reference_case(rng, case):
+    """Unary table, stream, radius and weight for one seeded case: random
+    or integer-valued (tied) unaries; random, 0/1 or partly zero rows; n = 1
+    and a single label included."""
+    n = 1 if case % 25 == 0 else int(rng.integers(2, 40))
+    num_labels = 1 if case % 20 == 1 else int(rng.integers(2, 12))
+    if case % 3 == 0:
+        mixed = rng.uniform(0, 5, size=(n, num_labels))
+    else:
+        mixed = rng.integers(0, 3, size=(n, num_labels)) * (0.5 if case % 3 == 2 else 1.0)
+    stream = rng.normal(size=(n, 4))
+    if case % 4 == 1:
+        stream = rng.integers(0, 2, size=(n, 4)).astype(np.float64)
+    elif case % 4 == 2:
+        stream[rng.random(n) < 0.3] = 0.0
+    weight = (0.0, 1.0, float(rng.uniform(0, 1)))[case % 5 % 3]
+    return mixed, stream, 1 + case % 3, weight
+
+
+class TestAgainstLoopReferences:
+    def test_labels_and_energy_bitwise_equal(self):
+        rng = np.random.default_rng(51)
+        for case in range(330):
+            mixed, stream, radius, weight = _reference_case(rng, case)
+            params = GcParams(unary_mix=0.0, pairwise_weight=weight, radius=radius)
+            chain_params = GcParams(unary_mix=0.0, pairwise_weight=weight, radius=1)
+            chain = _chain_optimum(mixed, stream, chain_params)
+            np.testing.assert_array_equal(
+                chain, prefix_scan_chain_optimum(mixed, stream, chain_params))
+            # ICM from the chain optimum, as minimize_labels runs it, and
+            # from a random monotone start, which moves more frames
+            start = np.sort(rng.integers(0, mixed.shape[1], size=mixed.shape[0]))
+            for labels in (chain, start):
+                np.testing.assert_array_equal(
+                    _icm_refine(labels, mixed, stream, params),
+                    per_pair_icm_refine(labels, mixed, stream, params))
+                zeros = np.zeros_like(mixed)
+                assert labeling_energy(labels, mixed, zeros, stream, params) == \
+                    per_pair_labeling_energy(labels, mixed, zeros, stream, params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("table", ["ac", "adw"])
+    def test_non_finite_unary_rejected(self, bad, table):
+        rng = np.random.default_rng(7)
+        u_ac = rng.uniform(0, 3, size=(5, 3))
+        u_adw = rng.uniform(0, 3, size=(5, 3))
+        (u_ac if table == "ac" else u_adw)[2, 1] = bad
+        stream = rng.normal(size=(5, 2))
+        with pytest.raises(ValidationError, match="finite"):
+            minimize_labels(_fake_ls(u_ac, stream), u_ac, u_adw, stream, GcParams())

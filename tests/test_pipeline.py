@@ -85,6 +85,19 @@ class TestConfig:
         with pytest.raises(ValidationError):
             PipelineConfig.from_dict({"delta": 1.5})
 
+    @pytest.mark.parametrize("flat", [
+        {"cutoff": "0.4"}, {"delta": True}, {"vocab_size": 10.5}, {"p": "2"},
+        {"semantic_enabled": 1}, {"linkage": 3}, {"grid": ["cutoff"]},
+    ])
+    def test_mistyped_value_rejected(self, flat):
+        with pytest.raises(ValidationError, match=f"config value '{next(iter(flat))}'"):
+            PipelineConfig.from_dict(flat)
+
+    def test_value_types_normalised(self):
+        cfg = PipelineConfig.from_dict({"radius": 2.0, "cutoff": 1, "seed": np.int64(3)})
+        assert cfg.gc.radius == 2 and type(cfg.gc.radius) is int
+        assert cfg.agglo.cutoff == 1 and type(cfg.seed) is int
+
     def test_file_loading(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"cutoff": 0.8, "grid": {"cutoff": [0.2, 0.4]}}))
@@ -153,6 +166,12 @@ class TestGridSearch:
         stream, det, gt = clean_fixture
         cfg = PipelineConfig.from_dict({"grid": {"vocab_size": [10]}})
         with pytest.raises(ValidationError, match="sweepable"):
+            grid_search(stream, det, gt, cfg)
+
+    def test_mistyped_grid_value_rejected(self, clean_fixture):
+        stream, det, gt = clean_fixture
+        cfg = PipelineConfig.from_dict({"grid": {"radius": [1, 1.5]}})
+        with pytest.raises(ValidationError, match="config value 'radius'"):
             grid_search(stream, det, gt, cfg)
 
     def test_csv_rendering(self, clean_fixture):
