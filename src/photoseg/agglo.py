@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import Segmentation, ValidationError
+from .fusion import unit_rows
 
 LINKAGES = ("ward", "centroid", "complete", "weighted", "single", "median", "average")
 
@@ -79,11 +80,7 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def cosine_distance_matrix(rows: np.ndarray) -> np.ndarray:
     """Full pairwise cosine-distance matrix with the zero-vector convention."""
-    m = np.asarray(rows, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1)
-    unit = np.zeros_like(m)
-    nz = norms > 0
-    unit[nz] = m[nz] / norms[nz, None]
+    unit, nz = unit_rows(np.asarray(rows, dtype=np.float64))
     dist = 1.0 - unit @ unit.T
     # rows or columns for zero vectors: similarity 0, distance 1
     dist[~nz, :] = 1.0
@@ -196,50 +193,25 @@ def cut_merge_sequence(merges: np.ndarray, n: int, cutoff: float) -> np.ndarray:
 
     A cluster is a maximal subtree in which every merge distance is below
     the cutoff (the subtree maximum, so inversions cannot stitch together
-    groups that already separated).
+    groups that already separated). Such subtrees are closed downwards, so
+    the clusters are the connected components of the child edges of the
+    merges whose subtree maximum is below the cutoff. Each node points to
+    its parent across those edges, and pointer jumping takes every frame
+    to the root of its component, whose node id is the frame's label.
     """
     if n == 1:
         return np.zeros(1, dtype=np.int64)
     subtree_max = np.zeros(2 * n - 1)
     for step, (a, b, height, _) in enumerate(merges):
         subtree_max[n + step] = max(height, subtree_max[int(a)], subtree_max[int(b)])
-    return _label_valid_subtrees(merges, n, subtree_max, cutoff)
-
-
-def _label_valid_subtrees(merges: np.ndarray, n: int, subtree_max: np.ndarray,
-                          cutoff: float) -> np.ndarray:
-    children: dict[int, tuple[int, int]] = {}
-    for step, (a, b, _, _) in enumerate(merges):
-        children[n + step] = (int(a), int(b))
-    labels = np.full(n, -1, dtype=np.int64)
-    next_label = 0
-    root = 2 * n - 2 if len(merges) else 0
-
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node < n and labels[node] == -1:
-            labels[node] = next_label
-            next_label += 1
-            continue
-        if node >= n and subtree_max[node] < cutoff:
-            next_label = _assign(node, children, labels, next_label, n)
-        elif node >= n:
-            a, b = children[node]
-            stack.extend((b, a))
-    return labels
-
-
-def _assign(node: int, children: dict[int, tuple[int, int]], labels: np.ndarray,
-            label: int, n: int) -> int:
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if cur < n:
-            labels[cur] = label
-        else:
-            stack.extend(children[cur])
-    return label + 1
+    valid = subtree_max[n:] < cutoff
+    up = np.arange(2 * n - 1)
+    up[merges[valid, :2].astype(np.int64)] = np.arange(n, 2 * n - 1)[valid, None]
+    while True:
+        jumped = up[up]
+        if np.array_equal(jumped, up):
+            return up[:n]
+        up = jumped
 
 
 def cluster_frames(stream: np.ndarray, params: AggloParams) -> Segmentation:

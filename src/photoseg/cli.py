@@ -34,7 +34,7 @@ from .datamodel import (
     save_segmentation,
 )
 from .evaluate import MatchParams, evaluate_pair
-from .pipeline import PipelineConfig, grid_rows_to_csv, grid_search, run_pipeline
+from .pipeline import PipelineConfig, config_keys, grid_rows_to_csv, grid_search, run_pipeline
 from .semantic import (
     ExactMatchProvider,
     FileSimilarityProvider,
@@ -48,21 +48,18 @@ from .semantic import (
 from .synth import SynthSpec, generate
 
 
+# one --<key-with-dashes> flag per flat config key; the grid comes from a
+# file and semantic processing is switched off by --no-semantic instead
+_FLAG_KEYS = tuple(key for key in config_keys() if key not in ("grid", "semantic_enabled"))
+
+
 def _load_config(args) -> PipelineConfig:
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    for name in ("linkage", "cutoff", "delta", "unary_mix", "pairwise_weight",
-                 "blend", "bandwidth", "variance_threshold", "softmax_temp",
-                 "vocab_size", "seed", "tolerance"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "no_semantic", False):
+    overrides = {key: getattr(args, key) for key in _FLAG_KEYS
+                 if getattr(args, key) is not None}
+    if args.no_semantic:
         overrides["semantic_enabled"] = False
-    cfg = config.override(**overrides) if overrides else config
-    if config.grid and not cfg.grid:
-        cfg = PipelineConfig.from_dict({**cfg.to_dict(), "grid": config.grid})
-    return cfg
+    return config.override(**overrides) if overrides else config
 
 
 def _provider(args):
@@ -73,17 +70,9 @@ def _provider(args):
 
 def _add_config_flags(sub):
     sub.add_argument("--config", help="JSON pipeline configuration file")
-    sub.add_argument("--linkage")
-    sub.add_argument("--cutoff", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--unary-mix", dest="unary_mix", type=float)
-    sub.add_argument("--pairwise-weight", dest="pairwise_weight", type=float)
-    sub.add_argument("--blend", type=float)
-    sub.add_argument("--bandwidth", type=float)
-    sub.add_argument("--variance-threshold", dest="variance_threshold", type=float)
-    sub.add_argument("--softmax-temp", dest="softmax_temp", type=float)
-    sub.add_argument("--vocab-size", dest="vocab_size", type=int)
-    sub.add_argument("--seed", type=int)
+    keys = config_keys()
+    for key in _FLAG_KEYS:
+        sub.add_argument("--" + key.replace("_", "-"), type=keys[key][0])
     sub.add_argument("--no-semantic", dest="no_semantic", action="store_true")
 
 
@@ -148,7 +137,7 @@ def _cmd_gridsearch(args) -> int:
     gt = load_segmentation(args.gt)
     config = _load_config(args)
     if args.grid:
-        config = PipelineConfig.from_dict({**config.to_dict(), "grid": read_json_object(args.grid)})
+        config = config.override(grid=read_json_object(args.grid))
     rows = grid_search(features, detections, gt, config, provider=_provider(args))
     csv_text = grid_rows_to_csv(rows)
     if args.out:

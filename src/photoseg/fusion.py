@@ -26,16 +26,21 @@ def signed_root_normalize(x: np.ndarray) -> np.ndarray:
         norm = np.linalg.norm(rooted)
         return rooted / norm if norm > 0 else rooted
     if rooted.ndim == 2:
-        return _unit_rows(rooted)
+        return unit_rows(rooted)[0]
     raise ValidationError("expected a vector or a matrix of row vectors")
 
 
-def _unit_rows(m: np.ndarray) -> np.ndarray:
+def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``m``'s rows scaled to unit L2 norm, and the mask of nonzero rows.
+
+    Rows of norm 0 are copied unchanged (so a ``-0.0`` entry keeps its
+    sign); callers that need a defined value for them read the mask.
+    """
     norms = np.linalg.norm(m, axis=1)
     out = m.copy()
     nz = norms > 0
     out[nz] = out[nz] / norms[nz, None]
-    return out
+    return out, nz
 
 
 def fuse(contextual: np.ndarray, semantic: np.ndarray, blend: float = 0.5) -> np.ndarray:
@@ -55,4 +60,4 @@ def fuse(contextual: np.ndarray, semantic: np.ndarray, blend: float = 0.5) -> np
         )
     if not 0.0 <= blend <= 1.0:
         raise ValidationError(f"blend must lie in [0, 1], got {blend}")
-    return np.hstack([(1.0 - blend) * _unit_rows(c), blend * _unit_rows(s)])
+    return np.hstack([(1.0 - blend) * unit_rows(c)[0], blend * unit_rows(s)[0]])

@@ -25,6 +25,7 @@ from scipy.special import log_softmax
 
 from .agglo import cosine_distance
 from .datamodel import Segmentation, ValidationError
+from .fusion import unit_rows
 
 
 @dataclass(frozen=True)
@@ -104,14 +105,7 @@ def build_label_space(seg_ac: Segmentation, seg_adw: Segmentation,
 
 
 def _centroid_similarities(stream: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    def unit(m):
-        norms = np.linalg.norm(m, axis=1)
-        out = np.zeros_like(m)
-        nz = norms > 0
-        out[nz] = m[nz] / norms[nz, None]
-        return out
-
-    return unit(stream) @ unit(centroids).T
+    return unit_rows(stream)[0] @ unit_rows(centroids)[0].T
 
 
 def unary_energies(ls: LabelSpace, stream: np.ndarray,
@@ -142,12 +136,9 @@ def _neighbor_sizes(n: int, radius: int) -> np.ndarray:
 
 
 def _adjacent_energies(stream: np.ndarray) -> np.ndarray:
-    unit = stream / np.where(
-        np.linalg.norm(stream, axis=1, keepdims=True) > 0,
-        np.linalg.norm(stream, axis=1, keepdims=True), 1.0)
+    unit, nz = unit_rows(stream)
     sims = (unit[:-1] * unit[1:]).sum(axis=1)
-    zero = (np.linalg.norm(stream[:-1], axis=1) == 0) | (np.linalg.norm(stream[1:], axis=1) == 0)
-    sims[zero] = 0.0
+    sims[~(nz[:-1] & nz[1:])] = 0.0
     return np.exp(-(1.0 - sims))
 
 
@@ -193,7 +184,8 @@ def labeling_energy(labels: np.ndarray, unary_ac: np.ndarray, unary_adw: np.ndar
 
 
 def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> np.ndarray:
-    """Exact minimum-energy monotone labeling for a radius-1 neighborhood."""
+    """Exact minimum-energy monotone labeling for a radius-1 neighborhood,
+    whatever ``params.radius`` says: only ``pairwise_weight`` is read."""
     n, num_labels = mixed.shape
     if n == 1:
         return np.array([int(np.argmin(mixed[0]))])
@@ -294,9 +286,7 @@ def minimize_labels(ls: LabelSpace, unary_ac: np.ndarray, unary_adw: np.ndarray,
     if not (np.isfinite(unary_ac).all() and np.isfinite(unary_adw).all()):
         raise ValidationError("unary tables must be finite")
     mixed = (1.0 - params.unary_mix) * unary_ac + params.unary_mix * unary_adw
-    base = GcParams(unary_mix=params.unary_mix, pairwise_weight=params.pairwise_weight,
-                    radius=1, softmax_temp=params.softmax_temp)
-    labels = _chain_optimum(mixed, rows, base)
+    labels = _chain_optimum(mixed, rows, params)
     if params.radius > 1:
         labels = _icm_refine(labels, mixed, rows, params)
     return labels

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
@@ -78,55 +79,35 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, flat: dict) -> "PipelineConfig":
-        """Build from flat keys: this class's fields and those of its nested
-        parameter classes. An unknown key or a value of the wrong type
-        raises :class:`ValidationError`."""
-        flat = dict(flat)
-        hints = _field_types(cls)
-        nested = {}
-        for f in fields(cls):
-            sub = hints[f.name]
-            if is_dataclass(sub):
-                own = {g.name: flat.pop(g.name) for g in fields(sub) if g.name in flat}
-                nested[f.name] = sub(**_checked(sub, own))
-        unknown = set(flat) - (set(hints) - set(nested))
+        """Build from flat keys (see :func:`config_keys`). An unknown key or a
+        value of the wrong type raises :class:`ValidationError`."""
+        keys = config_keys()
+        unknown = set(flat) - set(keys)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**nested, **_checked(cls, flat))
+        parts: dict = {name: {} for _, name in keys.values()}
+        for key, value in flat.items():
+            kind, part = keys[key]
+            parts[part][key] = _checked(key, kind, value)
+        hints = _field_types(cls)
+        nested = {name: hints[name](**values) for name, values in parts.items() if name}
+        return cls(**nested, **parts[None])
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         return cls.from_dict(read_json_object(path))
 
     def to_dict(self) -> dict:
-        out = {
-            "vocab_size": self.vocab_size,
-            "seed": self.seed,
-            "bandwidth": self.bandwidth,
-            "variance_threshold": self.variance_threshold,
-            "blend": self.blend,
-            "semantic_enabled": self.semantic_enabled,
-            "linkage": self.agglo.linkage,
-            "cutoff": self.agglo.cutoff,
-            "delta": self.adwin.delta,
-            "p": self.adwin.p,
-            "min_subwindow": self.adwin.min_subwindow,
-            "unary_mix": self.gc.unary_mix,
-            "pairwise_weight": self.gc.pairwise_weight,
-            "radius": self.gc.radius,
-            "softmax_temp": self.gc.softmax_temp,
-            "tolerance": self.tolerance,
-        }
-        if self.grid:
-            out["grid"] = self.grid
+        """Flat keys in :func:`config_keys` order; ``grid`` only when set."""
+        out = {key: getattr(getattr(self, part) if part else self, key)
+               for key, (_, part) in config_keys().items()}
+        if not self.grid:
+            del out["grid"]
         return out
 
     def override(self, **flat) -> "PipelineConfig":
         """A copy with flat parameter overrides applied."""
-        merged = self.to_dict()
-        merged.pop("grid", None)
-        merged.update(flat)
-        return PipelineConfig.from_dict(merged)
+        return PipelineConfig.from_dict({**self.to_dict(), **flat})
 
 
 @functools.cache
@@ -135,27 +116,45 @@ def _field_types(cls) -> dict:
     return get_type_hints(cls)
 
 
-def _checked(cls, values: dict) -> dict:
-    """``values`` checked against the types of ``cls``'s fields.
+@functools.cache
+def config_keys() -> dict:
+    """Every flat config key, in field order, mapped to ``(type, part)``.
+
+    The keys are :class:`PipelineConfig`'s own fields, with each nested
+    parameter field replaced by that class's fields; ``part`` names the
+    nested field a key belongs to, or is None for a top-level field.
+    Read-only.
+    """
+    hints = _field_types(PipelineConfig)
+    keys = {}
+    for f in fields(PipelineConfig):
+        kind = hints[f.name]
+        if is_dataclass(kind):
+            keys.update({g.name: (_field_types(kind)[g.name], f.name) for g in fields(kind)})
+        else:
+            keys[f.name] = (kind, None)
+    return keys
+
+
+def _checked(name: str, kind, value):
+    """``value`` checked against the field type ``kind``.
 
     Integer fields go through :func:`_as_index` (integral floats pass and
-    become ints); float fields take ints and floats but not booleans or
-    strings; any other field must be an instance of its type.
+    become ints); float fields take finite ints and floats but not
+    booleans or strings; any other field must be an instance of its type.
     """
-    hints = _field_types(cls)
-    out = {}
-    for name, value in values.items():
-        kind = hints[name]
-        if kind is int:
-            value = _as_index(value, f"config value {name!r}")
-        elif kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ValidationError(f"config value {name!r} must be a number, got {value!r}")
-        elif not isinstance(value, get_args(kind) or kind):
-            allowed = " or ".join(t.__name__ for t in get_args(kind) or (kind,))
-            raise ValidationError(f"config value {name!r} must be {allowed}, got {value!r}")
-        out[name] = value
-    return out
+    if kind is int:
+        return _as_index(value, f"config value {name!r}")
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValidationError(f"config value {name!r} must be a number, got {value!r}")
+        # false for NaN, infinities and ints too large for a float
+        if not abs(value) <= sys.float_info.max:
+            raise ValidationError(f"config value {name!r} must be finite, got {value!r}")
+    elif not isinstance(value, get_args(kind) or kind):
+        allowed = " or ".join(t.__name__ for t in get_args(kind) or (kind,))
+        raise ValidationError(f"config value {name!r} must be {allowed}, got {value!r}")
+    return value
 
 
 # declared order for grid expansion and tie-breaking
@@ -293,8 +292,10 @@ def grid_search(features: FeatureStream,
     if unknown:
         raise ValidationError(f"grid keys not sweepable: {sorted(unknown)}")
     names = [p for p in GRID_PARAMS if p in config.grid]
-    if any(len(config.grid[p]) == 0 for p in names):
-        raise ValidationError("empty grid value list")
+    for p in names:
+        if not isinstance(config.grid[p], list) or not config.grid[p]:
+            raise ValidationError(
+                f"grid value for {p!r} must be a non-empty list, got {config.grid[p]!r}")
 
     rows: list[GridRow] = []
     match = MatchParams(tolerance=config.tolerance)

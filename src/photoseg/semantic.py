@@ -27,6 +27,7 @@ import numpy as np
 from scipy.ndimage import convolve1d
 
 from .datamodel import ConceptDetections, ValidationError, read_json_object
+from .fusion import unit_rows
 
 
 class UnknownTagError(ValidationError):
@@ -283,10 +284,7 @@ def _spectral_labels(weights: np.ndarray, k: int, seed: int, restarts: int = 10)
     inv_sqrt[pos] = 1.0 / np.sqrt(degree[pos])
     lap = np.eye(v) - (weights * inv_sqrt[:, None]) * inv_sqrt[None, :]
     _, eigvecs = np.linalg.eigh(lap)
-    embedding = eigvecs[:, :k]
-    norms = np.linalg.norm(embedding, axis=1)
-    nz = norms > 0
-    embedding[nz] = embedding[nz] / norms[nz, None]
+    embedding = unit_rows(eigvecs[:, :k])[0]
 
     best_labels, best_distortion = None, np.inf
     for r in range(restarts):

@@ -10,7 +10,10 @@ The loop references for the chain minimiser (``per_pair_labeling_energy``,
 ``prefix_scan_chain_optimum``, ``per_pair_icm_refine``) are the exception:
 they call the library's own pair-energy primitives, because they pin its
 labels and energies bit for bit rather than check the optimum, which the
-exhaustive enumeration does.
+exhaustive enumeration does. So are the inline unit-row forms and the
+tree-walking dendrogram cut below, kept verbatim from before the library
+shared one ``unit_rows`` helper and cut through connected components:
+the tests compare the library's bytes and partitions against them.
 """
 
 from __future__ import annotations
@@ -149,6 +152,68 @@ def naive_merge_sequence(dist, linkage):
     return merges
 
 
+def walk_cut_merge_sequence(merges: np.ndarray, n: int, cutoff: float) -> np.ndarray:
+    """The tree-walking cut ``agglo.cut_merge_sequence`` replaced; its
+    partitions must match."""
+    if n == 1:
+        return np.zeros(1, dtype=np.int64)
+    subtree_max = np.zeros(2 * n - 1)
+    for step, (a, b, height, _) in enumerate(merges):
+        subtree_max[n + step] = max(height, subtree_max[int(a)], subtree_max[int(b)])
+    return _label_valid_subtrees(merges, n, subtree_max, cutoff)
+
+
+def _label_valid_subtrees(merges: np.ndarray, n: int, subtree_max: np.ndarray,
+                          cutoff: float) -> np.ndarray:
+    children: dict[int, tuple[int, int]] = {}
+    for step, (a, b, _, _) in enumerate(merges):
+        children[n + step] = (int(a), int(b))
+    labels = np.full(n, -1, dtype=np.int64)
+    next_label = 0
+    root = 2 * n - 2 if len(merges) else 0
+
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node < n and labels[node] == -1:
+            labels[node] = next_label
+            next_label += 1
+            continue
+        if node >= n and subtree_max[node] < cutoff:
+            next_label = _assign(node, children, labels, next_label, n)
+        elif node >= n:
+            a, b = children[node]
+            stack.extend((b, a))
+    return labels
+
+
+def _assign(node: int, children: dict[int, tuple[int, int]], labels: np.ndarray,
+            label: int, n: int) -> int:
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur < n:
+            labels[cur] = label
+        else:
+            stack.extend(children[cur])
+    return label + 1
+
+
+def inline_cosine_distance_matrix(rows: np.ndarray) -> np.ndarray:
+    """``agglo.cosine_distance_matrix`` with its own unit-row code."""
+    m = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(m, axis=1)
+    unit = np.zeros_like(m)
+    nz = norms > 0
+    unit[nz] = m[nz] / norms[nz, None]
+    dist = 1.0 - unit @ unit.T
+    # rows or columns for zero vectors: similarity 0, distance 1
+    dist[~nz, :] = 1.0
+    dist[:, ~nz] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
 def _pair(d, x, y):
     return d[(min(x, y), max(x, y))]
 
@@ -173,6 +238,29 @@ def _recursive_linkage(linkage, current, a, b, k, na, nb, nk, dab):
 
 
 # ---------------------------------------------------------- chain labeling
+
+def inline_centroid_similarities(stream: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``graphcut._centroid_similarities`` with its own unit-row code."""
+    def unit(m):
+        norms = np.linalg.norm(m, axis=1)
+        out = np.zeros_like(m)
+        nz = norms > 0
+        out[nz] = m[nz] / norms[nz, None]
+        return out
+
+    return unit(stream) @ unit(centroids).T
+
+
+def inline_adjacent_energies(stream: np.ndarray) -> np.ndarray:
+    """``graphcut._adjacent_energies`` with its own unit-row code."""
+    unit = stream / np.where(
+        np.linalg.norm(stream, axis=1, keepdims=True) > 0,
+        np.linalg.norm(stream, axis=1, keepdims=True), 1.0)
+    sims = (unit[:-1] * unit[1:]).sum(axis=1)
+    zero = (np.linalg.norm(stream[:-1], axis=1) == 0) | (np.linalg.norm(stream[1:], axis=1) == 0)
+    sims[zero] = 0.0
+    return np.exp(-(1.0 - sims))
+
 
 def enumerate_monotone_labelings(n, num_labels):
     for starts in itertools.combinations_with_replacement(range(num_labels), n):

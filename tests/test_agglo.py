@@ -15,7 +15,7 @@ from photoseg.agglo import (
 )
 from photoseg.datamodel import Segmentation, ValidationError
 
-from oracles import naive_merge_sequence
+from oracles import inline_cosine_distance_matrix, naive_merge_sequence, walk_cut_merge_sequence
 
 
 class TestCosineDistance:
@@ -45,11 +45,32 @@ class TestCosineDistance:
                     assert d[i, j] == pytest.approx(
                         cosine_distance(rows[i], rows[j]), abs=1e-12)
 
+    def test_matrix_bitwise_equals_inline_unit_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            rows = _rows_with_zero_rows(rng)
+            assert cosine_distance_matrix(rows).tobytes() == \
+                inline_cosine_distance_matrix(rows).tobytes()
 
-def _oracle_inputs(rng, trials):
+
+def _rows_with_zero_rows(rng):
+    """Random rows, some set to 0.0 and some to -0.0."""
+    rows = rng.normal(size=(int(rng.integers(1, 12)), int(rng.integers(1, 6))))
+    rows[rng.random(rows.shape[0]) < 0.2] = 0.0
+    rows[rng.random(rows.shape[0]) < 0.2] = -0.0
+    return rows
+
+
+def _partition(labels):
+    """Labels renumbered by first appearance: equal iff the partitions are."""
+    first = {}
+    return [first.setdefault(label, len(first)) for label in labels.tolist()]
+
+
+def _oracle_inputs(rng, trials, n_max=8):
     """Random rows, rows with duplicates, and 0/1 rows, whose distances tie."""
     for trial in range(trials):
-        n = int(rng.integers(2, 9))
+        n = int(rng.integers(2, n_max + 1))
         kind = trial % 3
         if kind == 0:
             rows = rng.normal(size=(n, 4))
@@ -96,6 +117,30 @@ class TestMergeSequence:
         rows = np.tile([1.0, 2.0], (4, 1))
         merges = linkage_merge_sequence(cosine_distance_matrix(rows), "single")
         assert [(int(a), int(b)) for a, b, _, _ in merges] == [(0, 1), (2, 3), (4, 5)]
+
+
+class TestCut:
+    def test_partitions_match_tree_walk(self):
+        rng = np.random.default_rng(17)
+        inversions = 0
+        for trial, rows in _oracle_inputs(rng, 60, n_max=24):
+            n = rows.shape[0]
+            dist = cosine_distance_matrix(rows)
+            for linkage in LINKAGES:
+                merges = linkage_merge_sequence(dist, linkage)
+                inversions += bool(np.any(np.diff(merges[:, 2]) < 0))
+                # fixed cutoffs, and merge heights themselves, where the
+                # strict < decides
+                heights = rng.choice(merges[:, 2], size=min(n - 1, 6), replace=False)
+                for cutoff in (0.05, 0.3, 0.7, 1.2, 2.5, *heights):
+                    assert _partition(cut_merge_sequence(merges, n, cutoff)) == \
+                        _partition(walk_cut_merge_sequence(merges, n, cutoff)), \
+                        f"{linkage}, trial {trial}, cutoff {cutoff}"
+        assert inversions > 0
+
+    def test_single_frame(self):
+        merges = linkage_merge_sequence(np.zeros((1, 1)), "average")
+        assert cut_merge_sequence(merges, 1, 0.4).tolist() == [0]
 
 
 class TestClusterFrames:

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from photoseg.cli import main
+from photoseg.cli import _load_config, build_parser, main
 from photoseg.datamodel import load_segmentation
+from photoseg.pipeline import PipelineConfig
 from photoseg.synth import block_spec
 
 
@@ -246,3 +247,84 @@ def test_non_integral_starts_exit_2(fixture_dir, tmp_path, capsys, starts):
     bad.write_text(f'{{"n": 45, "starts": {starts}}}\n')
     assert main(["evaluate", str(bad), str(fixture_dir / "ground_truth.json")]) == 2
     assert "segment start must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, body", [
+    ([], '{"bandwidth": NaN}'),
+    ([], '{"bandwidth": Infinity}'),
+    (["--cutoff", "nan"], None),
+    (["--variance-threshold", "nan"], None),
+    (["--softmax-temp", "inf"], None),
+], ids=["config-nan", "config-inf", "cutoff-nan", "variance-threshold-nan", "softmax-temp-inf"])
+def test_non_finite_config_exit_2(fixture_dir, tmp_path, capsys, flags, body):
+    if body is not None:
+        config = tmp_path / "config.json"
+        config.write_text(body)
+        flags = ["--config", str(config)]
+    out = tmp_path / "x.json"
+    rc = main(["segment", str(fixture_dir / "features.csv"),
+               "--detections", str(fixture_dir / "detections.jsonl"),
+               "--out", str(out), *flags])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["grid-file", "config-file"])
+def test_grid_value_not_a_list_exit_2(fixture_dir, tmp_path, capsys, route):
+    path = tmp_path / "in.json"
+    grid = {"cutoff": 0.4}
+    path.write_text(json.dumps(grid if route == "grid-file" else {"grid": grid}))
+    rc = main(["gridsearch", str(fixture_dir / "features.csv"),
+               "--gt", str(fixture_dir / "ground_truth.json"),
+               "--grid" if route == "grid-file" else "--config", str(path)])
+    assert rc == 2
+    assert "must be a non-empty list" in capsys.readouterr().err
+
+
+# every flat config key with a value other than its default, in the order
+# to_dict() has always written them
+NON_DEFAULT = {
+    "vocab_size": 7, "seed": 3, "bandwidth": 2.5, "variance_threshold": 0.01,
+    "blend": 0.6, "semantic_enabled": False, "linkage": "single", "cutoff": 0.7,
+    "delta": 0.01, "p": 3, "min_subwindow": 4, "unary_mix": 0.3,
+    "pairwise_weight": 0.4, "radius": 2, "softmax_temp": 0.2, "tolerance": 6,
+    "grid": {"cutoff": [0.4, 0.9]},
+}
+
+
+def _parsed_config(*flags):
+    return _load_config(build_parser().parse_args(["segment", "f.csv", "--out", "o.json", *flags]))
+
+
+class TestConfigSurface:
+    def test_every_key_has_a_flag(self):
+        for key, value in NON_DEFAULT.items():
+            if key in ("grid", "semantic_enabled"):
+                continue
+            config = _parsed_config("--" + key.replace("_", "-"), str(value))
+            assert config.to_dict()[key] == value, key
+        assert _parsed_config("--no-semantic").semantic_enabled is False
+
+    def test_existing_flag_spellings_unchanged(self):
+        config = _parsed_config(
+            "--linkage", "single", "--cutoff", "0.7", "--delta", "0.01",
+            "--unary-mix", "0.3", "--pairwise-weight", "0.4", "--blend", "0.6",
+            "--bandwidth", "2.5", "--variance-threshold", "0.01", "--softmax-temp", "0.2",
+            "--vocab-size", "7", "--seed", "3", "--no-semantic")
+        assert config == PipelineConfig.from_dict({
+            k: v for k, v in NON_DEFAULT.items()
+            if k not in ("p", "min_subwindow", "radius", "tolerance", "grid")})
+
+    def test_to_dict_keys_and_order(self):
+        assert list(PipelineConfig.from_dict(NON_DEFAULT).to_dict().items()) == \
+            list(NON_DEFAULT.items())
+        assert "grid" not in PipelineConfig().to_dict()
+
+    def test_override_keeps_grid(self, tmp_path):
+        config = PipelineConfig.from_dict(NON_DEFAULT)
+        assert config.override(cutoff=0.5).grid == NON_DEFAULT["grid"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(NON_DEFAULT))
+        assert _parsed_config("--config", str(path), "--cutoff", "0.5").grid == \
+            NON_DEFAULT["grid"]

@@ -6,6 +6,8 @@ import pytest
 from photoseg.datamodel import Segmentation, ValidationError
 from photoseg.graphcut import (
     GcParams,
+    _adjacent_energies,
+    _centroid_similarities,
     _chain_optimum,
     _icm_refine,
     build_label_space,
@@ -20,6 +22,8 @@ from photoseg.graphcut import (
 from oracles import (
     brute_force_energy,
     brute_force_min_labeling,
+    inline_adjacent_energies,
+    inline_centroid_similarities,
     per_pair_icm_refine,
     per_pair_labeling_energy,
     prefix_scan_chain_optimum,
@@ -308,6 +312,19 @@ class TestAgainstLoopReferences:
                 zeros = np.zeros_like(mixed)
                 assert labeling_energy(labels, mixed, zeros, stream, params) == \
                     per_pair_labeling_energy(labels, mixed, zeros, stream, params)
+
+    def test_unit_row_sites_bitwise_equal_inline_forms(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n, d = int(rng.integers(2, 12)), int(rng.integers(1, 6))
+            stream, centroids = rng.normal(size=(n, d)), rng.normal(size=(4, d))
+            for m in (stream, centroids):
+                m[rng.random(m.shape[0]) < 0.2] = 0.0
+                m[rng.random(m.shape[0]) < 0.2] = -0.0
+            assert _centroid_similarities(stream, centroids).tobytes() == \
+                inline_centroid_similarities(stream, centroids).tobytes()
+            assert _adjacent_energies(stream).tobytes() == \
+                inline_adjacent_energies(stream).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("table", ["ac", "adw"])
