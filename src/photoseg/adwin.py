@@ -72,9 +72,9 @@ class AdwinDetector:
     def add(self, row: np.ndarray) -> list[int]:
         """Consume one frame; returns boundaries fired by this arrival."""
         row = np.atleast_1d(np.asarray(row, dtype=np.float64))
-        if row.min() < 0.0 or row.max() > 1.0:
+        if not ((row >= 0.0) & (row <= 1.0)).all():
             raise ValidationError(
-                f"frame {self._count}: entries outside [0, 1], rescale the stream first"
+                f"frame {self._count}: entries outside [0, 1] or NaN, rescale the stream first"
             )
         self._window.append(row)
         self._count += 1
@@ -128,7 +128,8 @@ class AdwinDetector:
 
 
 def detect_changes(stream: np.ndarray, params: AdwinParams | None = None) -> Segmentation:
-    """Run the detector over a full (n, k) stream with entries in [0, 1]."""
+    """Run the detector over a full (n, k) stream with entries in [0, 1];
+    an entry outside it, NaN included, raises :class:`ValidationError`."""
     arr = np.asarray(stream, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValidationError("expected a non-empty (n, k) stream")

@@ -68,23 +68,17 @@ class AggloParams:
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b), in [0, 2]. Defined as 1 when either vector is zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    return 1.0 - float(np.dot(a, b) / (na * nb))
+    """1 - cos(a, b), in [0, 2]. Defined as 1 when either vector is zero:
+    a zero row stays zero under ``unit_rows``, so the product is 0."""
+    unit = unit_rows(np.asarray([a, b], dtype=np.float64))
+    return 1.0 - float((unit[0] * unit[1]).sum())
 
 
 def cosine_distance_matrix(rows: np.ndarray) -> np.ndarray:
-    """Full pairwise cosine-distance matrix with the zero-vector convention."""
-    unit, nz = unit_rows(np.asarray(rows, dtype=np.float64))
+    """Full pairwise cosine-distance matrix with the zero-vector convention
+    of :func:`cosine_distance` (zero rows sit at distance 1 from all)."""
+    unit = unit_rows(np.asarray(rows, dtype=np.float64))
     dist = 1.0 - unit @ unit.T
-    # rows or columns for zero vectors: similarity 0, distance 1
-    dist[~nz, :] = 1.0
-    dist[:, ~nz] = 1.0
     np.fill_diagonal(dist, 0.0)
     return dist
 
@@ -218,11 +212,13 @@ def cluster_frames(stream: np.ndarray, params: AggloParams) -> Segmentation:
     """Agglomerate fused frame vectors and cut at the configured distance.
 
     Returns the segmentation induced by label changes between consecutive
-    frames.
+    frames. A NaN or inf entry raises :class:`ValidationError`.
     """
     rows = np.asarray(stream, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValidationError("expected a non-empty (n, d) feature matrix")
+    if not np.isfinite(rows).all():
+        raise ValidationError("feature matrix must be finite")
     n = rows.shape[0]
     if n == 1:
         return Segmentation(1, (0,))

@@ -9,7 +9,9 @@ Subcommands mirror the pipeline stages::
     photoseg gridsearch  sweep hyper-parameters against ground truth
     photoseg synth       materialize a synthetic fixture
 
-Exit code 0 on success, 2 on any validation error.
+Exit code 0 on success, 2 on any validation error and on any input or
+output file that cannot be opened, read or decoded as UTF-8 (a missing
+file, a directory, a non-UTF-8 byte).
 """
 
 from __future__ import annotations
@@ -225,10 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

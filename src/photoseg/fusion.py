@@ -22,25 +22,23 @@ def signed_root_normalize(x: np.ndarray) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=np.float64)
     rooted = np.sign(arr) * np.sqrt(np.abs(arr))
-    if rooted.ndim == 1:
-        norm = np.linalg.norm(rooted)
-        return rooted / norm if norm > 0 else rooted
-    if rooted.ndim == 2:
-        return unit_rows(rooted)[0]
-    raise ValidationError("expected a vector or a matrix of row vectors")
+    if rooted.ndim not in (1, 2):
+        raise ValidationError("expected a vector or a matrix of row vectors")
+    return unit_rows(np.atleast_2d(rooted)).reshape(rooted.shape)
 
 
-def unit_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``m``'s rows scaled to unit L2 norm, and the mask of nonzero rows.
+def unit_rows(m: np.ndarray) -> np.ndarray:
+    """``m``'s rows scaled to unit L2 norm; the one norm in the package.
 
     Rows of norm 0 are copied unchanged (so a ``-0.0`` entry keeps its
-    sign); callers that need a defined value for them read the mask.
+    sign), and their products with any unit row are 0, which is how every
+    cosine here gives zero vectors similarity 0.
     """
     norms = np.linalg.norm(m, axis=1)
     out = m.copy()
     nz = norms > 0
     out[nz] = out[nz] / norms[nz, None]
-    return out, nz
+    return out
 
 
 def fuse(contextual: np.ndarray, semantic: np.ndarray, blend: float = 0.5) -> np.ndarray:
@@ -60,4 +58,4 @@ def fuse(contextual: np.ndarray, semantic: np.ndarray, blend: float = 0.5) -> np
         )
     if not 0.0 <= blend <= 1.0:
         raise ValidationError(f"blend must lie in [0, 1], got {blend}")
-    return np.hstack([(1.0 - blend) * unit_rows(c)[0], blend * unit_rows(s)[0]])
+    return np.hstack([(1.0 - blend) * unit_rows(c), blend * unit_rows(s)])

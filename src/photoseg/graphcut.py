@@ -105,7 +105,7 @@ def build_label_space(seg_ac: Segmentation, seg_adw: Segmentation,
 
 
 def _centroid_similarities(stream: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return unit_rows(stream)[0] @ unit_rows(centroids)[0].T
+    return unit_rows(stream) @ unit_rows(centroids).T
 
 
 def unary_energies(ls: LabelSpace, stream: np.ndarray,
@@ -135,28 +135,21 @@ def _neighbor_sizes(n: int, radius: int) -> np.ndarray:
     return np.minimum(idx, radius) + np.minimum(n - 1 - idx, radius)
 
 
-def _adjacent_energies(stream: np.ndarray) -> np.ndarray:
-    unit, nz = unit_rows(stream)
-    sims = (unit[:-1] * unit[1:]).sum(axis=1)
-    sims[~(nz[:-1] & nz[1:])] = 0.0
-    return np.exp(-(1.0 - sims))
-
-
 def _pair_energies(stream: np.ndarray, radius: int) -> np.ndarray:
     """``out[i, radius + d] = pairwise_energy(stream[i], stream[i + d])`` for
     every ``0 < |d| <= radius`` inside the stream; other entries are 0.
 
-    Each pair is computed once with :func:`pairwise_energy` and stored in
-    both directions, so the values are bit-identical to per-pair calls (the
-    energy is symmetric bit for bit: the dot product and the norm product
-    commute exactly).
+    The rows are unit-scaled once and each band of products is summed row
+    by row, the arithmetic :func:`pairwise_energy` does on one pair, so the
+    values are bit-identical to per-pair calls. Each pair is stored in both
+    directions (the elementwise product commutes exactly).
     """
     n = stream.shape[0]
+    unit = unit_rows(stream)
     out = np.zeros((n, 2 * radius + 1))
     for d in range(1, min(radius, n - 1) + 1):
-        for i in range(n - d):
-            out[i, radius + d] = out[i + d, radius - d] = \
-                pairwise_energy(stream[i], stream[i + d])
+        out[:-d, radius + d] = out[d:, radius - d] = \
+            np.exp(-(1.0 - (unit[:-d] * unit[d:]).sum(axis=1)))
     return out
 
 
@@ -190,7 +183,7 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> n
     if n == 1:
         return np.array([int(np.argmin(mixed[0]))])
     sizes = _neighbor_sizes(n, 1)
-    adj = _adjacent_energies(stream)
+    adj = _pair_energies(stream, 1)[:-1, 2]
     # cost charged when frames i and i+1 disagree, summed over both
     # frames' neighborhood averages
     switch_cost = params.pairwise_weight * adj * (1.0 / sizes[:-1] + 1.0 / sizes[1:])

@@ -284,7 +284,7 @@ def _spectral_labels(weights: np.ndarray, k: int, seed: int, restarts: int = 10)
     inv_sqrt[pos] = 1.0 / np.sqrt(degree[pos])
     lap = np.eye(v) - (weights * inv_sqrt[:, None]) * inv_sqrt[None, :]
     _, eigvecs = np.linalg.eigh(lap)
-    embedding = unit_rows(eigvecs[:, :k])[0]
+    embedding = unit_rows(eigvecs[:, :k])
 
     best_labels, best_distortion = None, np.inf
     for r in range(restarts):

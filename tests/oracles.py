@@ -12,8 +12,9 @@ they call the library's own pair-energy primitives, because they pin its
 labels and energies bit for bit rather than check the optimum, which the
 exhaustive enumeration does. So are the inline unit-row forms and the
 tree-walking dendrogram cut below, kept verbatim from before the library
-shared one ``unit_rows`` helper and cut through connected components:
-the tests compare the library's bytes and partitions against them.
+shared one ``unit_rows`` helper and cut through connected components,
+and the BLAS scalar cosine from before every cosine went through it:
+the tests compare the library's bytes, partitions and values against them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from photoseg.graphcut import _adjacent_energies, _neighbor_sizes, pairwise_energy
+from photoseg.graphcut import _neighbor_sizes, pairwise_energy
 
 
 # ------------------------------------------------------- consistency errors
@@ -214,6 +215,17 @@ def inline_cosine_distance_matrix(rows: np.ndarray) -> np.ndarray:
     return dist
 
 
+def blas_cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """``agglo.cosine_distance`` with its own norms and BLAS dot product."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 1.0
+    return 1.0 - float(np.dot(a, b) / (na * nb))
+
+
 def _pair(d, x, y):
     return d[(min(x, y), max(x, y))]
 
@@ -331,7 +343,7 @@ def prefix_scan_chain_optimum(mixed, stream, params):
     if n == 1:
         return np.array([int(np.argmin(mixed[0]))])
     sizes = _neighbor_sizes(n, 1)
-    adj = _adjacent_energies(stream)
+    adj = inline_adjacent_energies(stream)
     # cost charged when frames i and i+1 disagree, summed over both
     # frames' neighborhood averages
     switch_cost = params.pairwise_weight * adj * (1.0 / sizes[:-1] + 1.0 / sizes[1:])

@@ -60,6 +60,12 @@ class TestDetectChanges:
         with pytest.raises(ValidationError):
             detect_changes(np.zeros((0, 2)), AdwinParams())
 
+    def test_rejects_nan(self):
+        stream = np.random.default_rng(3).uniform(size=(30, 4))
+        stream[12, 2] = np.nan
+        with pytest.raises(ValidationError, match="frame 12"):
+            detect_changes(stream, AdwinParams())
+
     def test_monotone_sensitivity_on_fixtures(self):
         fixtures = [mean_shift_fixture(seed=s) for s in (42, 43, 44)]
         rng = np.random.default_rng(5)

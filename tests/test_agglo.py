@@ -15,7 +15,12 @@ from photoseg.agglo import (
 )
 from photoseg.datamodel import Segmentation, ValidationError
 
-from oracles import inline_cosine_distance_matrix, naive_merge_sequence, walk_cut_merge_sequence
+from oracles import (
+    blas_cosine_distance,
+    inline_cosine_distance_matrix,
+    naive_merge_sequence,
+    walk_cut_merge_sequence,
+)
 
 
 class TestCosineDistance:
@@ -44,6 +49,22 @@ class TestCosineDistance:
                 else:
                     assert d[i, j] == pytest.approx(
                         cosine_distance(rows[i], rows[j]), abs=1e-12)
+
+    def test_within_an_ulp_of_blas_form(self):
+        # the unit-row form moved some values by an ulp of 1 from the old
+        # norm-and-dot form; zero vectors keep distance exactly 1
+        rng = np.random.default_rng(17)
+        for case in range(600):
+            d = int(rng.integers(1, 320))
+            a, b = rng.normal(size=d), rng.normal(size=d)
+            if case % 3 == 1:
+                a, b = (rng.integers(0, 2, size=(2, d)) * 1.0)
+            elif case % 3 == 2:
+                (a if case % 2 else b)[:] = -0.0 if case % 4 > 1 else 0.0
+            got, want = cosine_distance(a, b), blas_cosine_distance(a, b)
+            assert abs(got - want) <= 4e-16
+            if not (a.any() and b.any()):
+                assert got == want == 1.0
 
     def test_matrix_bitwise_equals_inline_unit_rows(self):
         rng = np.random.default_rng(11)
@@ -190,6 +211,15 @@ class TestClusterFrames:
                 labels = cut_merge_sequence(merges, 18, cutoff)
                 counts.append(len(set(labels.tolist())))
             assert counts == sorted(counts, reverse=True), linkage
+
+    def test_rejects_non_finite_rows(self):
+        rows = np.random.default_rng(3).uniform(size=(30, 4))
+        rows[12, 2] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            cluster_frames(rows, AggloParams())
+        rows[12, 2] = np.inf
+        with pytest.raises(ValidationError, match="finite"):
+            cluster_frames(rows, AggloParams())
 
     def test_rejects_unknown_linkage(self):
         with pytest.raises(ValidationError, match="linkage"):

@@ -282,6 +282,33 @@ def test_grid_value_not_a_list_exit_2(fixture_dir, tmp_path, capsys, route):
     assert "must be a non-empty list" in capsys.readouterr().err
 
 
+def _with_bad_byte(path: Path, text: str) -> str:
+    path.write_bytes(text.encode() + b"\xff\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["features", "detections", "config", "segmentation",
+                                  "features-directory"])
+def test_unreadable_input_exit_2(fixture_dir, tmp_path, capsys, case):
+    features = str(fixture_dir / "features.csv")
+    det = str(fixture_dir / "detections.jsonl")
+    gt = fixture_dir / "ground_truth.json"
+    bad = tmp_path / "bad"
+    out = ["--out", str(tmp_path / "x.json")]
+    argv = {
+        "features": lambda: ["segment", _with_bad_byte(bad, "1,2\n"), *out],
+        "detections": lambda: ["segment", features, "--detections", _with_bad_byte(
+            bad, (fixture_dir / "detections.jsonl").read_text()), *out],
+        "config": lambda: ["segment", features, "--detections", det, "--config",
+                           _with_bad_byte(bad, '{"cutoff": 0.4}'), *out],
+        "segmentation": lambda: ["evaluate", _with_bad_byte(bad, gt.read_text()), str(gt)],
+        "features-directory": lambda: ["segment", str(tmp_path), *out],
+    }[case]()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.json").exists()
+
+
 # every flat config key with a value other than its default, in the order
 # to_dict() has always written them
 NON_DEFAULT = {

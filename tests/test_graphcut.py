@@ -6,10 +6,10 @@ import pytest
 from photoseg.datamodel import Segmentation, ValidationError
 from photoseg.graphcut import (
     GcParams,
-    _adjacent_energies,
     _centroid_similarities,
     _chain_optimum,
     _icm_refine,
+    _pair_energies,
     build_label_space,
     labeling_energy,
     labeling_from_segmentation,
@@ -323,8 +323,25 @@ class TestAgainstLoopReferences:
                 m[rng.random(m.shape[0]) < 0.2] = -0.0
             assert _centroid_similarities(stream, centroids).tobytes() == \
                 inline_centroid_similarities(stream, centroids).tobytes()
-            assert _adjacent_energies(stream).tobytes() == \
+            assert _pair_energies(stream, 1)[:-1, 2].tobytes() == \
                 inline_adjacent_energies(stream).tobytes()
+
+    def test_pair_table_bitwise_equals_per_pair_calls(self):
+        rng = np.random.default_rng(29)
+        for case in range(300):
+            n, d = int(rng.integers(1, 14)), int(rng.integers(1, 320 if case % 10 == 0 else 6))
+            stream = rng.normal(size=(n, d))
+            if case % 3 == 1:
+                stream = rng.integers(0, 2, size=(n, d)).astype(np.float64)
+            stream[rng.random(n) < 0.2] = 0.0
+            stream[rng.random(n) < 0.2] = -0.0
+            radius = 1 + case % 3
+            want = np.zeros((n, 2 * radius + 1))
+            for i in range(n):
+                for j in range(max(0, i - radius), min(n, i + radius + 1)):
+                    if j != i:
+                        want[i, j - i + radius] = pairwise_energy(stream[i], stream[j])
+            assert _pair_energies(stream, radius).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("table", ["ac", "adw"])

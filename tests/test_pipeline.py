@@ -5,6 +5,7 @@ import pytest
 
 from photoseg.datamodel import FeatureStream, Segmentation, ValidationError
 from photoseg.evaluate import f_measure
+from photoseg.agglo import LINKAGES, cosine_distance_matrix, linkage_merge_sequence
 from photoseg.pipeline import (
     GRID_PARAMS,
     PipelineConfig,
@@ -62,6 +63,42 @@ class TestRunPipeline:
         assert {"config.json", "candidate_agglomerative.json", "candidate_adwin.json",
                 "segmentation.json", "fused_features.csv", "semantic_features.csv",
                 "kept_concepts.json", "vocabulary.json"} <= names
+
+
+def _noisy_days():
+    return [generate(block_spec(num_segments=4, segment_length=(12, 20, 8, 16),
+                                noise_sigma=0.3 * k, seed=k)) for k in range(5)]
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("with_detections", [True, False])
+    def test_single_frame(self, with_detections):
+        stream, det, _ = generate(block_spec(num_segments=1, segment_length=1))
+        result = run_pipeline(stream, det if with_detections else None)
+        assert result.segmentation == Segmentation(1, (0,))
+        assert result.seg_ac == result.seg_adw == Segmentation(1, (0,))
+
+    def test_every_concept_pruned_equals_contextual_only(self):
+        for stream, det, _ in _noisy_days():
+            stds = run_pipeline(stream, det, PipelineConfig().override(
+                variance_threshold=0.0)).semantic.std(axis=0)
+            pruned = run_pipeline(stream, det, PipelineConfig().override(
+                variance_threshold=float(stds.max()) + 1.0))
+            contextual = run_pipeline(stream, det, PipelineConfig().override(
+                semantic_enabled=False))
+            assert pruned.kept_concepts == []
+            assert pruned.fused.tobytes() == contextual.fused.tobytes()
+            assert pruned.segmentation == contextual.segmentation
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    def test_cutoff_above_every_merge_gives_one_candidate_segment(self, linkage):
+        for stream, det, _ in _noisy_days():
+            fused = run_pipeline(stream, det).fused
+            heights = linkage_merge_sequence(cosine_distance_matrix(fused), linkage)[:, 2]
+            cutoff = float(np.nextafter(heights.max(), np.inf))
+            result = run_pipeline(stream, det, PipelineConfig().override(
+                linkage=linkage, cutoff=cutoff))
+            assert result.seg_ac == Segmentation(stream.n, (0,))
 
 
 class TestConfig:
