@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -248,13 +249,24 @@ def _parse_float(cell: str, row: int, col: int) -> float:
         raise ValidationError(f"row {row}, column {col}: non-numeric cell {cell!r}") from None
 
 
+@contextmanager
+def _decoding(path: str | Path):
+    """Turn a :class:`UnicodeDecodeError` inside the block into a
+    :class:`ValidationError` naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_json_object(path: str | Path) -> dict:
     """Parse a JSON file whose top level must be an object.
 
-    Malformed JSON and any other top-level value raise
-    :class:`ValidationError` naming the file.
+    Malformed JSON, text that is not UTF-8 and any other top-level value
+    raise :class:`ValidationError` naming the file.
     """
-    with Path(path).open() as fh:
+    with _decoding(path), Path(path).open() as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -295,36 +307,38 @@ def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
 
     ``format`` is ``"csv"`` (numeric columns) or ``"jsonl"`` (objects with
     an ``id`` and a ``vector``). Row order defines frame order. Raises
-    :class:`ValidationError` on an empty file, a non-numeric or non-finite
-    cell, a malformed JSON line, or rows of differing dimension.
+    :class:`ValidationError` on an empty file, text that is not UTF-8, a
+    non-numeric or non-finite cell, a malformed JSON line, or rows of
+    differing dimension.
     """
     path = Path(path)
-    if format in ("csv",):
-        try:
-            with warnings.catch_warnings():
-                # an empty file warns here; it is rejected below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                                  dtype=np.float64)
-        except ValueError:
-            rows = _csv_rows(path)
-        frames = None
-    elif format in ("jsonl", "json-lines"):
-        rows = []
-        ids = []
-        with path.open() as fh:
-            for r, line in enumerate(fh):
-                if not line.strip():
-                    continue
-                obj = _parse_json_line(line, r)
-                vec = obj.get("vector")
-                if not isinstance(vec, list):
-                    raise ValidationError(f"row {r}: missing or non-list 'vector' field")
-                rows.append([_parse_float(str(c), r, j) for j, c in enumerate(vec)])
-                ids.append(str(obj.get("id", r)))
-        frames = tuple(Frame(index=k, id=i) for k, i in enumerate(ids))
-    else:
-        raise ValidationError(f"unknown feature format {format!r}")
+    with _decoding(path):
+        if format in ("csv",):
+            try:
+                with warnings.catch_warnings():
+                    # an empty file warns here; it is rejected below
+                    warnings.simplefilter("ignore", UserWarning)
+                    rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                                      dtype=np.float64)
+            except ValueError:
+                rows = _csv_rows(path)
+            frames = None
+        elif format in ("jsonl", "json-lines"):
+            rows = []
+            ids = []
+            with path.open() as fh:
+                for r, line in enumerate(fh):
+                    if not line.strip():
+                        continue
+                    obj = _parse_json_line(line, r)
+                    vec = obj.get("vector")
+                    if not isinstance(vec, list):
+                        raise ValidationError(f"row {r}: missing or non-list 'vector' field")
+                    rows.append([_parse_float(str(c), r, j) for j, c in enumerate(vec)])
+                    ids.append(str(obj.get("id", r)))
+            frames = tuple(Frame(index=k, id=i) for k, i in enumerate(ids))
+        else:
+            raise ValidationError(f"unknown feature format {format!r}")
 
     if len(rows) == 0:
         raise ValidationError(f"empty feature file: {path}")
@@ -357,11 +371,12 @@ def load_concept_detections(path: str | Path) -> ConceptDetections:
     One object per frame: ``{"id": ..., "tags": [{"tag": ..., "confidence":
     ...}]}``. Frames with an empty tag list are accepted. A malformed JSON
     line or a tag entry without ``tag`` or ``confidence`` raises
-    :class:`ValidationError` naming its row.
+    :class:`ValidationError` naming its row; a file without frames, or
+    text that is not UTF-8, one naming the file.
     """
     frames: list[tuple[tuple[str, float], ...]] = []
     ids: list[str] = []
-    with Path(path).open() as fh:
+    with _decoding(path), Path(path).open() as fh:
         for r, line in enumerate(fh):
             if not line.strip():
                 continue
@@ -374,6 +389,8 @@ def load_concept_detections(path: str | Path) -> ConceptDetections:
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"row {r}: malformed tag entry ({exc})") from None
             ids.append(str(obj.get("id", r)))
+    if not frames:
+        raise ValidationError(f"empty detections file: {path}")
     return ConceptDetections(frames=tuple(frames), ids=tuple(ids))
 
 

@@ -13,6 +13,7 @@ is reproducible byte for byte. Stage failures carry the stage name.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import sys
@@ -184,17 +185,37 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, str(exc)) from exc
 
 
+def _adwin_candidate(fused: np.ndarray, params: AdwinParams) -> Segmentation:
+    return detect_changes(rescale_to_unit(fused), params)
+
+
+def _candidate(memo: Optional[dict], key, params, name: str, fn, fused: np.ndarray):
+    """``fn(fused, params)`` as the stage ``name``; with a ``memo``, looked
+    up there under ``(key, params)`` and stored on a miss."""
+    if memo is None:
+        return _stage(name, fn, fused, params)
+    if (key, params) not in memo:
+        memo[key, params] = _stage(name, fn, fused, params)
+    return memo[key, params]
+
+
 def run_pipeline(features: FeatureStream,
                  detections: Optional[ConceptDetections],
                  config: PipelineConfig = PipelineConfig(),
                  provider: Optional[SimilarityProvider] = None,
-                 dump_dir: Optional[str | Path] = None) -> PipelineResult:
+                 dump_dir: Optional[str | Path] = None,
+                 *, memo: Optional[dict] = None) -> PipelineResult:
     """Segment one day-long stream.
 
     ``detections`` may be None (or semantic processing disabled in the
     config); the pipeline then runs on contextual features alone. The
     similarity provider defaults to exact tag matching, which degrades the
     vocabulary to one cluster per distinct tag.
+
+    ``memo`` is a dict the caller owns (see :func:`grid_search`): the two
+    candidate segmentations are looked up in it, keyed on the fused
+    matrix's shape and content digest and on their own parameters, and
+    stored in it on a miss. Without it nothing is hashed or kept.
     """
     n = features.n
     semantic_matrix = None
@@ -225,8 +246,10 @@ def run_pipeline(features: FeatureStream,
     contextual = _stage("fusion", signed_root_normalize, features.contextual)
     fused = _stage("fusion", fuse, contextual, semantic_matrix, config.blend)
 
-    seg_ac = _stage("agglomerative", cluster_frames, fused, config.agglo)
-    seg_adw = _stage("adwin", lambda: detect_changes(rescale_to_unit(fused), config.adwin))
+    key = None if memo is None else (
+        fused.shape, hashlib.blake2b(np.ascontiguousarray(fused)).digest())
+    seg_ac = _candidate(memo, key, config.agglo, "agglomerative", cluster_frames, fused)
+    seg_adw = _candidate(memo, key, config.adwin, "adwin", _adwin_candidate, fused)
 
     ls = _stage("graphcut", build_label_space, seg_ac, seg_adw, fused)
     unary_ac, unary_adw = _stage("graphcut", unary_energies, ls, fused, config.gc)
@@ -285,6 +308,12 @@ def grid_search(features: FeatureStream,
 
     Rows come back sorted by F-measure descending; ties keep the row-major
     enumeration order over ``GRID_PARAMS``, so results are reproducible.
+
+    Every configuration runs the full pipeline, except that within this
+    call each candidate segmentation is computed once per distinct fused
+    matrix and candidate parameters, and reused by every configuration
+    that shares them (``memo`` of :func:`run_pipeline`). Nothing is kept
+    across calls.
     """
     if not config.grid:
         raise ValidationError("configuration declares no grid")
@@ -298,11 +327,12 @@ def grid_search(features: FeatureStream,
                 f"grid value for {p!r} must be a non-empty list, got {config.grid[p]!r}")
 
     rows: list[GridRow] = []
+    memo: dict = {}
     match = MatchParams(tolerance=config.tolerance)
     for combo in itertools.product(*(config.grid[p] for p in names)):
         overrides = dict(zip(names, combo))
         run_config = config.override(**overrides)
-        result = run_pipeline(features, detections, run_config, provider=provider)
+        result = run_pipeline(features, detections, run_config, provider=provider, memo=memo)
         report = f_measure(result.segmentation, gt, match)
         rows.append(GridRow(params=overrides, report=report))
     rows.sort(key=lambda r: -r.fmeasure)   # stable: ties keep declared order

@@ -386,6 +386,9 @@ def prune_low_variance(matrix: np.ndarray, threshold: float = 0.05
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
     m = np.asarray(matrix, dtype=np.float64)
-    stds = m.std(axis=0)
+    # m[:, kept] comes back Fortran-ordered, and std sums in layout order:
+    # deciding on the same layout keeps the returned columns' stds the ones
+    # compared here, bit for bit
+    stds = np.asfortranarray(m).std(axis=0)
     kept = [j for j in range(m.shape[1]) if stds[j] >= threshold]
     return m[:, kept], kept

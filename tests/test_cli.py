@@ -305,7 +305,9 @@ def test_unreadable_input_exit_2(fixture_dir, tmp_path, capsys, case):
         "features-directory": lambda: ["segment", str(tmp_path), *out],
     }[case]()
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(tmp_path if case == "features-directory" else bad) in err
     assert not (tmp_path / "x.json").exists()
 
 

@@ -181,6 +181,13 @@ class TestConceptDetectionsIO:
         with pytest.raises(ValidationError, match="outside"):
             load_concept_detections(path)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_file(self, tmp_path, text):
+        path = tmp_path / "det.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="empty detections file"):
+            load_concept_detections(path)
+
     def test_duplicate_tag(self):
         with pytest.raises(ValidationError, match="duplicate"):
             ConceptDetections(frames=((("cat", 0.5), ("cat", 0.7)),))

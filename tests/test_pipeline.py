@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from photoseg import pipeline
+from photoseg.adwin import rescale_to_unit
 from photoseg.datamodel import FeatureStream, Segmentation, ValidationError
 from photoseg.evaluate import f_measure
 from photoseg.agglo import LINKAGES, cosine_distance_matrix, linkage_merge_sequence
@@ -89,6 +91,18 @@ class TestDegenerateInputs:
             assert pruned.kept_concepts == []
             assert pruned.fused.tobytes() == contextual.fused.tobytes()
             assert pruned.segmentation == contextual.segmentation
+
+    def test_threshold_just_above_every_reported_std_prunes_every_column(self):
+        for stream, det, _ in _noisy_days():
+            stds = run_pipeline(stream, det, PipelineConfig().override(
+                variance_threshold=0.0)).semantic.std(axis=0)
+            top = float(stds.max())
+            at_top = run_pipeline(stream, det, PipelineConfig().override(
+                variance_threshold=top))
+            above = run_pipeline(stream, det, PipelineConfig().override(
+                variance_threshold=float(np.nextafter(top, np.inf))))
+            assert at_top.kept_concepts
+            assert above.kept_concepts == []
 
     @pytest.mark.parametrize("linkage", LINKAGES)
     def test_cutoff_above_every_merge_gives_one_candidate_segment(self, linkage):
@@ -219,6 +233,107 @@ class TestGridSearch:
         lines = text.strip().split("\n")
         assert lines[0].startswith("cutoff,")
         assert len(lines) == 3
+
+
+# varies the fused matrix (blend, bandwidth), both candidates' parameters
+# and the graph cut's, so equal parameters meet different fused inputs
+REUSE_GRID = {"linkage": ["average", "single"], "cutoff": [0.3, 0.6], "delta": [0.05, 0.3],
+              "unary_mix": [0.5], "blend": [0.3, 0.7], "bandwidth": [1.0, 3.0],
+              "radius": [1, 2]}
+
+
+@pytest.fixture(scope="module")
+def reuse_day():
+    return generate(block_spec(num_segments=4, segment_length=(12, 20, 8, 16),
+                               noise_sigma=0.3, seed=1))
+
+
+def _recording(monkeypatch, name):
+    """Replace ``pipeline.<name>`` by a wrapper that logs its calls'
+    arguments and results; returns the log."""
+    calls = []
+    original = getattr(pipeline, name)
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(pipeline, name, wrapper)
+    return calls
+
+
+class TestGridSearchReuse:
+    def test_rows_equal_independent_runs_bit_for_bit(self, reuse_day, monkeypatch):
+        stream, det, gt = reuse_day
+        runs = _recording(monkeypatch, "run_pipeline")
+        rows = grid_search(stream, det, gt, PipelineConfig.from_dict({"grid": REUSE_GRID}))
+        assert len(runs) == len(rows) == 64
+        monkeypatch.undo()
+        by_params = {tuple(r.params.items()): r.report for r in rows}
+        for args, _, result in runs:
+            config = args[2]
+            alone = run_pipeline(stream, det, config)
+            assert result.seg_ac == alone.seg_ac
+            assert result.seg_adw == alone.seg_adw
+            assert result.segmentation == alone.segmentation
+            assert result.fused.tobytes() == alone.fused.tobytes()
+            params = tuple((p, config.to_dict()[p]) for p in REUSE_GRID)
+            assert by_params[params] == f_measure(alone.segmentation, gt)
+
+    def test_each_candidate_runs_once_per_distinct_input(self, reuse_day, monkeypatch):
+        stream, det, gt = reuse_day
+        config = PipelineConfig.from_dict({"grid": REUSE_GRID})
+        runs = _recording(monkeypatch, "run_pipeline")
+        agglo = _recording(monkeypatch, "cluster_frames")
+        adwin = _recording(monkeypatch, "detect_changes")
+        grid_search(stream, det, gt, config)
+        configs = [args[2] for args, _, _ in runs]
+        fused = [result.fused.tobytes() for _, _, result in runs]
+        agglo_keys = [(a[0].tobytes(), a[1]) for a, _, _ in agglo]
+        adwin_keys = [(a[0].tobytes(), a[1]) for a, _, _ in adwin]
+        # one call per distinct (input, parameters) pair, and no other call
+        assert len(set(agglo_keys)) == len(agglo_keys)
+        assert set(agglo_keys) == {(f, c.agglo) for f, c in zip(fused, configs)}
+        assert len(set(adwin_keys)) == len(adwin_keys)
+        assert set(adwin_keys) == {(rescale_to_unit(r.fused).tobytes(), c.adwin)
+                                   for c, (_, _, r) in zip(configs, runs)}
+        assert (len(agglo), len(adwin)) == (16, 8)
+        # nothing is kept across calls
+        grid_search(stream, det, gt, config)
+        assert (len(agglo), len(adwin)) == (32, 16)
+
+    def test_direct_run_hashes_nothing(self, clean_fixture, monkeypatch):
+        stream, det, gt = clean_fixture
+        monkeypatch.setattr(pipeline, "hashlib", None)
+        assert run_pipeline(stream, det).segmentation == gt
+
+    def test_traced_stages_fire_in_every_configuration(self, reuse_day, monkeypatch):
+        # the benchmark's tracer (bench/tracing.py, bench/layers.py) wraps
+        # these names and reads, per configuration, run_pipeline followed
+        # by f_measure, and each stage below inside every run_pipeline call
+        stream, det, gt = reuse_day
+        per_call = ("build_concept_graph", "cluster_concepts", "prune_low_variance", "fuse",
+                    "build_label_space", "minimize")
+        events = []
+
+        def logged(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                out = fn(*args, **kwargs)
+                events.append("/" + name)
+                return out
+            return wrapper
+
+        for name in ("run_pipeline", "f_measure") + per_call:
+            monkeypatch.setattr(pipeline, name, logged(name, getattr(pipeline, name)))
+        rows = grid_search(stream, det, gt, PipelineConfig.from_dict({"grid": REUSE_GRID}))
+        top = [e for e in events if e.lstrip("/") in ("run_pipeline", "f_measure")]
+        assert top == ["run_pipeline", "/run_pipeline", "f_measure", "/f_measure"] * len(rows)
+        starts = [i for i, e in enumerate(events) if e == "run_pipeline"]
+        for i in starts:
+            inside = events[i:events.index("/run_pipeline", i)]
+            assert set(per_call) <= set(inside)
 
 
 def test_grid_param_order_covers_paper_sweep_axes():

@@ -306,6 +306,17 @@ class TestPruneLowVariance:
         pruned, kept = prune_low_variance(m, 0.05)
         assert pruned.shape == (6, 0) and kept == []
 
+    def test_decides_on_the_stds_of_the_returned_columns(self):
+        # each returned column's own std is the exact boundary: a threshold
+        # equal to it keeps the column, the next float above prunes it
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            m = rng.random((int(rng.integers(2, 60)), int(rng.integers(1, 12))))
+            pruned, kept = prune_low_variance(m, 0.0)
+            for j, std in zip(kept, pruned.std(axis=0)):
+                assert j in prune_low_variance(m, float(std))[1]
+                assert j not in prune_low_variance(m, float(np.nextafter(std, np.inf)))[1]
+
 
 def test_file_similarity_provider_defaults(tmp_path):
     obj = {"meanings": {"cat": ["feline"], "dog": ["canine"]},
