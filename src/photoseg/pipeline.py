@@ -199,6 +199,29 @@ def _candidate(memo: Optional[dict], key, params, name: str, fn, fused: np.ndarr
     return memo[key, params]
 
 
+def _unaries(memo: Optional[dict], key, ls, fused: np.ndarray,
+             params: GcParams) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`unary_energies` as the stage "graphcut". With a ``memo``,
+    the last call's tables are reused when ``key`` equals its key, and
+    replaced otherwise: the memo holds one pair of (n, labels) tables, not
+    one per distinct input. Shared tables are read-only, since
+    :func:`minimize` only reads them."""
+    if memo is None:
+        return _stage("graphcut", unary_energies, ls, fused, params)
+    held = memo.pop("unaries", None)
+    if held is not None and held[0] == key:
+        tables = held[1]
+    else:
+        # the old pair goes before the new one is computed, which would
+        # otherwise raise the peak memory by one pair
+        del held
+        tables = _stage("graphcut", unary_energies, ls, fused, params)
+        for table in tables:
+            table.flags.writeable = False
+    memo["unaries"] = key, tables
+    return tables
+
+
 def run_pipeline(features: FeatureStream,
                  detections: Optional[ConceptDetections],
                  config: PipelineConfig = PipelineConfig(),
@@ -215,7 +238,9 @@ def run_pipeline(features: FeatureStream,
     ``memo`` is a dict the caller owns (see :func:`grid_search`): the two
     candidate segmentations are looked up in it, keyed on the fused
     matrix's shape and content digest and on their own parameters, and
-    stored in it on a miss. Without it nothing is hashed or kept.
+    stored in it on a miss. The unary tables of the previous run are kept
+    in it and reused when the fused key, both candidates' parameters and
+    ``softmax_temp`` all match. Without it nothing is hashed or kept.
     """
     n = features.n
     semantic_matrix = None
@@ -252,7 +277,9 @@ def run_pipeline(features: FeatureStream,
     seg_adw = _candidate(memo, key, config.adwin, "adwin", _adwin_candidate, fused)
 
     ls = _stage("graphcut", build_label_space, seg_ac, seg_adw, fused)
-    unary_ac, unary_adw = _stage("graphcut", unary_energies, ls, fused, config.gc)
+    # the label space is a function of the fused matrix and both candidates
+    unary_ac, unary_adw = _unaries(
+        memo, (key, config.agglo, config.adwin, config.gc.softmax_temp), ls, fused, config.gc)
     final = _stage("graphcut", minimize, ls, unary_ac, unary_adw, fused, config.gc)
 
     result = PipelineResult(
@@ -312,8 +339,9 @@ def grid_search(features: FeatureStream,
     Every configuration runs the full pipeline, except that within this
     call each candidate segmentation is computed once per distinct fused
     matrix and candidate parameters, and reused by every configuration
-    that shares them (``memo`` of :func:`run_pipeline`). Nothing is kept
-    across calls.
+    that shares them; consecutive configurations that share both
+    candidates and ``softmax_temp`` also share one pair of unary tables
+    (``memo`` of :func:`run_pipeline`). Nothing is kept across calls.
     """
     if not config.grid:
         raise ValidationError("configuration declares no grid")

@@ -21,7 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.ndimage import convolve1d
@@ -248,35 +248,104 @@ def build_concept_graph(det: ConceptDetections, provider: SimilarityProvider) ->
     return ConceptGraph(tags=tuple(tags), weights=provider.tag_weights(meanings))
 
 
-def _farthest_point_kmeans(points: np.ndarray, k: int, seed) -> tuple[np.ndarray, float]:
-    """Seeded greedy max-min init, then Lloyd iterations. Returns labels and distortion."""
+def _exact_sq_dists(points: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Squared distances ``((points - centres) ** 2).sum(axis=1)``, row by
+    row or against one centre: the values k-means' labels are defined by,
+    which every faster path must reproduce bit for bit."""
+    return ((points - centres) ** 2).sum(axis=1)
+
+
+def _nearest_centres(points: np.ndarray, sq_norms: np.ndarray,
+                     centres: np.ndarray) -> np.ndarray:
+    """Per point, the first index of the centre nearest under
+    :func:`_exact_sq_dists`, without forming every exact distance.
+
+    ``sq_norms`` is ``(points ** 2).sum(axis=1)``.
+    """
+    sq_centres = (centres ** 2).sum(axis=1)
+    expanded = sq_norms[:, None] - 2.0 * (points @ centres.T) + sq_centres
+    # Why the candidates suffice. Let u = eps / 2, d = dim, s = |x|^2 +
+    # max |c|^2 and D the true squared distance. |x|^2, |c|^2 and x.c are
+    # d-term sums, each off by at most gamma_d = d*u / (1 - d*u) times
+    # |x|^2 + |c|^2 in any summation order (Higham, "Accuracy and Stability
+    # of Numerical Algorithms", 3.1), and the two additions round sums of
+    # magnitude <= 2s, so ``expanded`` is within (2d + 4)u*s of D.
+    # _exact_sq_dists rounds twice per term and adds d - 1 times, so it is
+    # within gamma_(d+1) * 2s of D. The two differ by at most
+    # (2d + 3)eps*s to first order, and a centre more than twice that above
+    # its row's minimum is strictly farther under _exact_sq_dists than the
+    # first exact argmin. The slack doubles that margin again and adds
+    # d * tiny for underflow.
+    dim = points.shape[1]
+    info = np.finfo(np.float64)
+    slack = 8 * (dim + 2) * info.eps * (sq_norms + sq_centres.max()) + dim * info.tiny
+    candidate = expanded <= (expanded.min(axis=1) + slack)[:, None]
+    labels = np.argmax(candidate, axis=1)     # the first candidate, the only one on most rows
+    ties = np.flatnonzero(candidate.sum(axis=1) > 1)
+    if ties.size:
+        rows, cols = np.nonzero(candidate[ties])
+        exact = np.full((ties.size, centres.shape[0]), np.inf)
+        exact[rows, cols] = _exact_sq_dists(points[ties[rows]], centres[cols])
+        labels[ties] = np.argmin(exact, axis=1)
+    return labels
+
+
+def _centre_means(points: np.ndarray, labels: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Each used label's mean point, summed in point order; an unused
+    label keeps its centre."""
+    grouped = points[np.argsort(labels, kind="stable")]
+    counts = np.bincount(labels, minlength=centres.shape[0])
+    ends = np.cumsum(counts)
+    new_centres = centres.copy()
+    for j in np.flatnonzero(counts):
+        # the same rows in the same order as points[labels == j], so the
+        # same sums bit for bit; vectorised sums (np.add.reduceat) are not
+        new_centres[j] = grouped[ends[j] - counts[j]:ends[j]].mean(axis=0)
+    return new_centres
+
+
+def _farthest_point_kmeans(points: np.ndarray, k: int, seed,
+                           seed_rows: Optional[dict] = None) -> tuple[np.ndarray, float]:
+    """Seeded greedy max-min init, then Lloyd iterations. Returns labels and distortion.
+
+    ``seed_rows`` maps a point's index to its :func:`_exact_sq_dists` row
+    against all points; rows missing from it are computed and added, so
+    callers running several restarts on the same points share them.
+    """
     n = points.shape[0]
+    rows = {} if seed_rows is None else seed_rows
+
+    def row(i: int) -> np.ndarray:
+        if i not in rows:
+            rows[i] = _exact_sq_dists(points, points[i])
+        return rows[i]
+
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
     d = np.full(n, np.inf)  # squared distance to the nearest chosen centre
     for _ in range(k - 1):
-        d = np.minimum(d, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
+        d = np.minimum(d, row(chosen[-1]))
         chosen.append(int(np.argmax(d)))
-    centers = points[chosen]
-    labels = np.zeros(n, dtype=np.int64)
-    for _ in range(100):
-        dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(dists, axis=1)
-        new_centers = centers.copy()
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                new_centers[j] = points[mask].mean(axis=0)
-        if np.allclose(new_centers, centers):
-            centers = new_centers
+    centres = points[chosen]
+    sq_norms = (points ** 2).sum(axis=1)
+    for step in range(100):
+        if step:
+            labels = _nearest_centres(points, sq_norms, centres)
+        else:
+            # the first centres are points, whose exact rows are known
+            labels = np.argmin(np.stack([row(c) for c in chosen]), axis=0)
+        new_centres = _centre_means(points, labels, centres)
+        if np.allclose(new_centres, centres):
+            centres = new_centres
             break
-        centers = new_centers
-    distortion = float(((points - centers[labels]) ** 2).sum())
+        centres = new_centres
+    distortion = float(((points - centres[labels]) ** 2).sum())
     return labels, distortion
 
 
 def _spectral_labels(weights: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndarray:
-    """Normalized-Laplacian embedding followed by seeded k-means."""
+    """Normalized-Laplacian embedding followed by seeded k-means; the
+    restarts share their seed rows."""
     v = weights.shape[0]
     degree = weights.sum(axis=1)
     inv_sqrt = np.zeros_like(degree)
@@ -287,8 +356,10 @@ def _spectral_labels(weights: np.ndarray, k: int, seed: int, restarts: int = 10)
     embedding = unit_rows(eigvecs[:, :k])
 
     best_labels, best_distortion = None, np.inf
+    seed_rows: dict = {}
     for r in range(restarts):
-        labels, distortion = _farthest_point_kmeans(embedding, k, seed=[seed, r])
+        labels, distortion = _farthest_point_kmeans(embedding, k, seed=[seed, r],
+                                                    seed_rows=seed_rows)
         if distortion < best_distortion:
             best_labels, best_distortion = labels, distortion
     return best_labels
@@ -308,10 +379,13 @@ def cluster_concepts(graph: ConceptGraph, k: int, seed: int = 0) -> SemanticVoca
 
     When ``k`` is at least the vertex count every tag becomes its own
     cluster. Cluster order is by representative tag, so the semantic
-    feature columns are stable across runs.
+    feature columns are stable across runs. ``seed`` must be >= 0 on
+    either path.
     """
     if k < 1:
         raise ValidationError(f"cluster count must be >= 1, got {k}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     tags = graph.tags
     if k >= len(tags):
         clusters = [ConceptCluster(t, (t,)) for t in sorted(tags)]

@@ -437,8 +437,11 @@ def best_two_partition_score(weights):
 
 def rescan_init_kmeans(points, k, seed):
     """Seeded farthest-point k-means whose init recomputes, at every step,
-    each point's distance to every centre chosen so far. Labels and
-    distortion, as the library's ``_farthest_point_kmeans`` must give."""
+    each point's distance to every centre chosen so far, then Lloyd steps
+    that form every point-centre distance in one (v, k, dim) broadcast,
+    kept verbatim from before the library searched nearest centres through
+    one BLAS product. Labels and distortion, as the library's
+    ``_farthest_point_kmeans`` must give bit for bit."""
     n = points.shape[0]
     rng = np.random.default_rng(seed)
     centers = [points[int(rng.integers(n))]]

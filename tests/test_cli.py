@@ -240,6 +240,23 @@ def test_mistyped_config_exit_2(fixture_dir, tmp_path, capsys, body):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["flag", "config-file"])
+@pytest.mark.parametrize("command", ["segment", "vocab"])
+def test_negative_seed_exit_2(fixture_dir, tmp_path, capsys, command, route):
+    flags = ["--seed", "-1", "--vocab-size", "2"]
+    if route == "config-file":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": -1, "vocab_size": 2}))
+        flags = ["--config", str(config)]
+    out = tmp_path / "x.json"
+    detections = str(fixture_dir / "detections.jsonl")
+    argv = (["segment", str(fixture_dir / "features.csv"), "--detections", detections]
+            if command == "segment" else ["vocab", detections])
+    assert main([*argv, "--out", str(out), *flags]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("starts", ["[0, 15.5, 30]", '[0, "15", 30]', "[0, true, 30]"],
                          ids=["fractional", "string", "bool"])
 def test_non_integral_starts_exit_2(fixture_dir, tmp_path, capsys, starts):

@@ -287,6 +287,8 @@ class TestGridSearchReuse:
         runs = _recording(monkeypatch, "run_pipeline")
         agglo = _recording(monkeypatch, "cluster_frames")
         adwin = _recording(monkeypatch, "detect_changes")
+        unary = _recording(monkeypatch, "unary_energies")
+        minimized = _recording(monkeypatch, "minimize")
         grid_search(stream, det, gt, config)
         configs = [args[2] for args, _, _ in runs]
         fused = [result.fused.tobytes() for _, _, result in runs]
@@ -299,9 +301,17 @@ class TestGridSearchReuse:
         assert set(adwin_keys) == {(rescale_to_unit(r.fused).tobytes(), c.adwin)
                                    for c, (_, _, r) in zip(configs, runs)}
         assert (len(agglo), len(adwin)) == (16, 8)
+        # the unary tables read the label space, so both candidates' inputs,
+        # and the softmax temperature; one pair is held, so they are
+        # recomputed whenever that key differs from the previous run's,
+        # which here (radius innermost) is once per distinct key
+        unary_keys = [(f, c.agglo, c.adwin, c.gc.softmax_temp) for f, c in zip(fused, configs)]
+        key_changes = 1 + sum(a != b for a, b in zip(unary_keys, unary_keys[1:]))
+        assert len(unary) == key_changes == len(set(unary_keys)) == 32
+        assert not any(t.flags.writeable for a, _, _ in minimized for t in a[1:3])
         # nothing is kept across calls
         grid_search(stream, det, gt, config)
-        assert (len(agglo), len(adwin)) == (32, 16)
+        assert (len(agglo), len(adwin), len(unary)) == (32, 16, 64)
 
     def test_direct_run_hashes_nothing(self, clean_fixture, monkeypatch):
         stream, det, gt = clean_fixture

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from photoseg import semantic
 from photoseg.datamodel import ConceptDetections, ValidationError
 from photoseg.semantic import (
     ExactMatchProvider,
@@ -11,6 +12,7 @@ from photoseg.semantic import (
     SimilarityProvider,
     UnknownTagError,
     _farthest_point_kmeans,
+    _spectral_labels,
     assemble_semantic_features,
     build_concept_graph,
     cluster_concepts,
@@ -118,29 +120,109 @@ class TestTagWeights:
                 SimilarityProvider.tag_weights(prov, ms).tobytes()
 
 
+def random_points(rng, case, v, dim):
+    """Unit, duplicated (argmax ties), 0/1, or unit rows with zero rows
+    among them, as a zero graph's embedding has."""
+    kind = case % 4
+    if kind == 1:
+        distinct = rng.normal(size=(int(rng.integers(1, v // 2 + 2)), dim))
+        return distinct[rng.integers(len(distinct), size=v)]
+    if kind == 2:
+        return rng.integers(0, 2, size=(v, dim)).astype(np.float64)
+    points = rng.normal(size=(v, dim))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    if kind == 3:
+        points[rng.random(v) < 0.4] = 0.0
+    return points
+
+
+def assert_matches_oracle(points, k, seed):
+    labels, distortion = _farthest_point_kmeans(points, k, seed=seed)
+    want_labels, want_distortion = rescan_init_kmeans(points, k, seed=seed)
+    assert labels.tobytes() == want_labels.tobytes()
+    assert distortion == want_distortion
+
+
 class TestFarthestPointKmeans:
     def test_matches_rescan_init_oracle(self):
-        # random, duplicated (argmax ties) and 0/1 rows, each at k = 1,
-        # k = v - 1 and a random k in between
+        # each kind of rows at k = 1, k = v - 1 and a random k in between
         rng = np.random.default_rng(17)
         checked = 0
         for case in range(90):
             v, dim = int(rng.integers(2, 40)), int(rng.integers(1, 8))
-            if case % 3 == 0:
-                points = rng.normal(size=(v, dim))
-                points /= np.linalg.norm(points, axis=1, keepdims=True)
-            elif case % 3 == 1:
-                distinct = rng.normal(size=(int(rng.integers(1, v // 2 + 2)), dim))
-                points = distinct[rng.integers(len(distinct), size=v)]
-            else:
-                points = rng.integers(0, 2, size=(v, dim)).astype(np.float64)
+            points = random_points(rng, case, v, dim)
             for k in sorted({1, v - 1, int(rng.integers(1, v))}):
-                labels, distortion = _farthest_point_kmeans(points, k, seed=[case, k])
-                want_labels, want_distortion = rescan_init_kmeans(points, k, seed=[case, k])
-                assert labels.tobytes() == want_labels.tobytes()
-                assert distortion == want_distortion
+                assert_matches_oracle(points, k, seed=[case, k])
                 checked += 1
         assert checked >= 200
+
+    def test_matches_rescan_init_oracle_at_vocabulary_scale(self):
+        rng = np.random.default_rng(23)
+        for case in range(12):
+            v, dim = int(rng.integers(100, 301)), int(rng.integers(1, 121))
+            k = int(rng.integers(2, 101))
+            assert_matches_oracle(random_points(rng, case, v, dim), k, seed=[case, k])
+
+    def test_ties_take_the_exact_recompute(self, monkeypatch):
+        # few distinct 0/1 rows against a few centres: after the first
+        # step, points sit exactly between centres
+        recomputes = [0]
+        exact = semantic._exact_sq_dists
+
+        def counting(points, centres):
+            # several centres at once: the tie check, not a seed row
+            recomputes[0] += centres.ndim == 2
+            return exact(points, centres)
+
+        monkeypatch.setattr(semantic, "_exact_sq_dists", counting)
+        rng = np.random.default_rng(11)
+        for case in range(300):
+            v, dim = int(rng.integers(4, 16)), int(rng.integers(1, 4))
+            points = rng.integers(0, 2, size=(v, dim)).astype(np.float64)
+            k = int(rng.integers(2, 4))
+            assert_matches_oracle(points, k, seed=[case, k])
+        assert recomputes[0] > 0
+
+    def test_near_ties_resolve_as_the_exact_expression(self):
+        # centres paired with copies nudged by one ulp in some coordinates:
+        # the expanded form cannot order each pair, the exact recompute must
+        rng = np.random.default_rng(31)
+        points = rng.normal(size=(300, 40))
+        base = rng.normal(size=(25, 40))
+        nudged = base.copy()
+        mask = rng.random(base.shape) < 0.2
+        nudged[mask] = np.nextafter(nudged[mask], rng.choice([-np.inf, np.inf], mask.sum()))
+        centres = np.concatenate([base, nudged])[rng.permutation(50)]
+        exact = ((points[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
+        got = semantic._nearest_centres(points, (points ** 2).sum(axis=1), centres)
+        assert got.tobytes() == np.argmin(exact, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("graph", ["families", "zero", "components"])
+def test_spectral_labels_match_oracle_restarts(graph, monkeypatch):
+    rng = np.random.default_rng(29)
+    if graph == "families":
+        # 150 tags in 30 families, strong within and faint across
+        family = rng.integers(30, size=150)
+        weights = np.where(family[:, None] == family[None, :],
+                           rng.uniform(0.3, 0.9, (150, 150)), rng.uniform(0.0, 0.05, (150, 150)))
+        k = 50
+    elif graph == "zero":
+        weights, k = np.zeros((182, 182)), 100
+    else:
+        # four dense blocks and 20 isolated tags
+        block = rng.integers(4, size=120)
+        weights = np.zeros((140, 140))
+        weights[:120, :120] = (block[:, None] == block[None, :]) * rng.uniform(0.2, 1.0, (120, 120))
+        k = 30
+    weights = np.triu(weights, 1)
+    weights = weights + weights.T
+    got = _spectral_labels(weights, k, seed=5)
+    # the same embedding, clustered by the oracle's restarts
+    monkeypatch.setattr(semantic, "_farthest_point_kmeans",
+                        lambda points, k, seed, seed_rows: rescan_init_kmeans(points, k, seed))
+    want = _spectral_labels(weights, k, seed=5)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestClusterConcepts:
@@ -204,6 +286,12 @@ class TestClusterConcepts:
         assert sorted(all_members) == sorted(tags)
         for c in v1.clusters:
             assert c.representative in c.members
+
+    @pytest.mark.parametrize("k", [2, 5], ids=["spectral", "identity"])
+    def test_negative_seed_rejected(self, k):
+        graph = build_concept_graph(detections([(t, 0.5) for t in "abcde"]), ExactMatchProvider())
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            cluster_concepts(graph, k, seed=-1)
 
     def test_vocabulary_roundtrip(self, tmp_path):
         det = detections([(t, 0.5) for t in "abc"])
