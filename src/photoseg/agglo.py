@@ -7,11 +7,17 @@ the fused vectors live in a high-dimensional, mostly positive space.
 
 The closest pair is found from cached nearest-neighbour candidates, the
 "generic" scheme of Muellner, "Modern hierarchical, agglomerative
-clustering algorithms" (arXiv:1109.2378, section 3). Node ``a`` keeps
-the distances to higher-numbered nodes only, together with their minimum
-and the smallest column attaining it. A merge takes the smallest row
-minimum (the lowest row on a tie) and that row's cached column, which is
-exactly the lexicographically smallest pair at the minimum distance.
+clustering algorithms" (arXiv:1109.2378, section 3). The work matrix
+has one row and one column per live cluster, n x n floats for the whole
+run: when nodes i < j merge, the new node takes i's slot and j's slot
+is retired. Node ``a``'s row keeps the distances to higher-numbered live
+nodes only, together with their minimum and a node attaining it; the new
+node outnumbers every live node, so its distances fill its slot's column
+and its row is all inf. A merge takes the smallest row minimum (the
+lowest node on a tie) and, in that row, the lowest node id at the
+minimum, which is exactly the lexicographically smallest pair at the
+minimum distance. Slot order is not node order, so the row's tie is
+settled by node id at the merge, not by the cached neighbour.
 After a merge only the rows whose cached neighbour was one of the merged
 nodes are rescanned; the others only compare against the new node's
 distance. That is O(n^2) overall when few rows share a neighbour, as
@@ -48,8 +54,8 @@ LINKAGES = ("ward", "centroid", "complete", "weighted", "single", "median", "ave
 # coarsen the flat clustering
 MONOTONE_LINKAGES = ("single", "complete", "average", "weighted")
 
-# rows rescanned per block, so a rescan's temporary stays at 16 x (2n - 1)
-# floats however many cached neighbours a merge invalidates
+# rows rescanned per block, so a rescan's temporary stays at 16 x n floats
+# however many cached neighbours a merge invalidates
 _RESCAN_ROWS = 16
 
 
@@ -78,7 +84,8 @@ def cosine_distance_matrix(rows: np.ndarray) -> np.ndarray:
     """Full pairwise cosine-distance matrix with the zero-vector convention
     of :func:`cosine_distance` (zero rows sit at distance 1 from all)."""
     unit = unit_rows(np.asarray(rows, dtype=np.float64))
-    dist = 1.0 - unit @ unit.T
+    dist = unit @ unit.T
+    np.subtract(1.0, dist, out=dist)
     np.fill_diagonal(dist, 0.0)
     return dist
 
@@ -121,65 +128,80 @@ def linkage_merge_sequence(dist: np.ndarray, linkage: str) -> np.ndarray:
     if n == 1:
         return np.zeros((0, 4))
     total = 2 * n - 1
-    # work[a, b] for a < b is the distance between live nodes a and b;
-    # everything else, and every entry of a merged node, is inf
-    work = np.full((total, total), np.inf)
-    nd = np.full(total, np.inf)                 # row minimum over live columns
-    nn = np.zeros(total, dtype=np.int64)        # its smallest column
+    # work[pos[a], pos[b]] for live a < b is the distance between a and b;
+    # every other entry a live row can read is inf
+    work = np.full((n, n), np.inf)
     for k in range(n - 1):
-        work[k, k + 1:n] = d0[k, k + 1:]
-    _rescan(work, nd, nn, np.arange(n - 1), n)
+        work[k, k + 1:] = d0[k, k + 1:]
+    pos = np.arange(total)                      # node id -> slot, read for live nodes
+    ids = np.arange(n)                          # slot -> node id
+    nd = np.full(total, np.inf)                 # row minimum over live columns
+    nn = np.zeros(total, dtype=np.int64)        # a node attaining it
+    _rescan(work, ids, nd, nn, np.arange(n - 1), np.arange(n - 1))
     size = np.zeros(total)
     size[:n] = 1.0
     active = np.zeros(total, dtype=bool)
     active[:n] = True
     merges = np.zeros((n - 1, 4))
     for step in range(n - 1):
-        i = int(np.argmin(nd))                  # smallest row wins a tie, and
-        j = int(nn[i])                          # nn holds that row's smallest column
-        height = work[i, j]
+        i = int(np.argmin(nd))                  # smallest row wins a tie
+        height = nd[i]
+        si = pos[i]
+        # nn[i] may be any node at the row minimum; take the smallest
+        j = int(ids[np.flatnonzero(work[si] == height)].min())
+        sj = pos[j]
         new = n + step
         active[i] = active[j] = False
         nd[i] = nd[j] = np.inf
         others = np.nonzero(active)[0]
         if others.size:
-            updated = _lw_update(linkage, _to_node(work, others, i), _to_node(work, others, j),
+            slots = pos[others]
+            updated = _lw_update(linkage, _to_node(work, others, slots, i, si),
+                                 _to_node(work, others, slots, j, sj),
                                  height, size[i], size[j], size[others])
-            work[others, new] = updated
+            # the new node takes i's slot and outnumbers every live node
+            work[si] = np.inf
+            work[slots, si] = updated
+            work[slots, sj] = np.inf
             closer = updated < nd[others]
             nd[others[closer]] = updated[closer]
             nn[others[closer]] = new
-        work[:i, i] = np.inf
-        work[:j, j] = np.inf
+        pos[new] = si
+        ids[si] = new
         stale = nn[:new] == i
         stale |= nn[:new] == j
         stale &= active[:new]
-        _rescan(work, nd, nn, np.flatnonzero(stale), new + 1)
+        rows = np.flatnonzero(stale)
+        _rescan(work, ids, nd, nn, rows, pos[rows])
         active[new] = True
         size[new] = size[i] + size[j]
         merges[step] = (i, j, height, size[new])
     return merges
 
 
-def _to_node(work: np.ndarray, others: np.ndarray, node: int) -> np.ndarray:
-    """Distances from the sorted live nodes ``others`` to ``node``."""
+def _to_node(work: np.ndarray, others: np.ndarray, slots: np.ndarray, node: int,
+             slot: int) -> np.ndarray:
+    """Distances from the sorted live nodes ``others``, held in ``slots``,
+    to ``node``, held in ``slot``: lower-numbered nodes keep them in the
+    slot's column, higher-numbered ones in its row."""
     split = int(np.searchsorted(others, node))
-    return np.concatenate((work[others[:split], node], work[node, others[split:]]))
+    return np.concatenate((work[slots[:split], slot], work[slot, slots[split:]]))
 
 
-def _rescan(work: np.ndarray, nd: np.ndarray, nn: np.ndarray, rows: np.ndarray,
-            stop: int) -> None:
-    """Recompute the cached minimum of ``rows`` over columns < ``stop``.
+def _rescan(work: np.ndarray, ids: np.ndarray, nd: np.ndarray, nn: np.ndarray,
+            rows: np.ndarray, slots: np.ndarray) -> None:
+    """Recompute the cached minimum of the nodes ``rows``, held in ``slots``.
 
-    Entries on and below the diagonal are inf, so a finite minimum always
-    lies in a higher-numbered column, and ``argmin`` takes the smallest.
+    A row is finite only at live higher-numbered nodes, so its minimum is
+    the one over those. On a tie ``argmin`` takes the lowest slot, which
+    need not hold the lowest node id; a merge resolves that itself.
     """
     for lo in range(0, rows.size, _RESCAN_ROWS):
         chunk = rows[lo:lo + _RESCAN_ROWS]
-        block = work[chunk, :stop]
+        block = work[slots[lo:lo + _RESCAN_ROWS]]
         cols = np.argmin(block, axis=1)
         nd[chunk] = block[np.arange(chunk.size), cols]
-        nn[chunk] = cols
+        nn[chunk] = ids[cols]
 
 
 def cut_merge_sequence(merges: np.ndarray, n: int, cutoff: float) -> np.ndarray:

@@ -13,8 +13,10 @@ labels and energies bit for bit rather than check the optimum, which the
 exhaustive enumeration does. So are the inline unit-row forms and the
 tree-walking dendrogram cut below, kept verbatim from before the library
 shared one ``unit_rows`` helper and cut through connected components,
-and the BLAS scalar cosine from before every cosine went through it:
-the tests compare the library's bytes, partitions and values against them.
+the BLAS scalar cosine from before every cosine went through it, and the
+triangle-layout merge loop from before merged nodes' slots were reused
+(it shares the library's Lance-Williams update): the tests compare the
+library's bytes, partitions and values against them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 
 import numpy as np
 
+from photoseg.agglo import _lw_update
 from photoseg.graphcut import _neighbor_sizes, pairwise_energy
 
 
@@ -151,6 +154,81 @@ def naive_merge_sequence(dist, linkage):
         current = fresh
         next_id += 1
     return merges
+
+
+_RESCAN_ROWS = 16
+
+
+def triangle_merge_sequence(dist: np.ndarray, linkage: str) -> np.ndarray:
+    """The cached-neighbour loop ``agglo.linkage_merge_sequence`` had
+    before it reused merged nodes' slots: a (2n - 1)^2 work matrix with
+    node ``a``'s distances to higher-numbered nodes in row ``a``. Merge
+    tables must match it byte for byte."""
+    d0 = np.asarray(dist, dtype=np.float64)
+    n = d0.shape[0]
+    if n == 1:
+        return np.zeros((0, 4))
+    total = 2 * n - 1
+    # work[a, b] for a < b is the distance between live nodes a and b;
+    # everything else, and every entry of a merged node, is inf
+    work = np.full((total, total), np.inf)
+    nd = np.full(total, np.inf)                 # row minimum over live columns
+    nn = np.zeros(total, dtype=np.int64)        # its smallest column
+    for k in range(n - 1):
+        work[k, k + 1:n] = d0[k, k + 1:]
+    _triangle_rescan(work, nd, nn, np.arange(n - 1), n)
+    size = np.zeros(total)
+    size[:n] = 1.0
+    active = np.zeros(total, dtype=bool)
+    active[:n] = True
+    merges = np.zeros((n - 1, 4))
+    for step in range(n - 1):
+        i = int(np.argmin(nd))                  # smallest row wins a tie, and
+        j = int(nn[i])                          # nn holds that row's smallest column
+        height = work[i, j]
+        new = n + step
+        active[i] = active[j] = False
+        nd[i] = nd[j] = np.inf
+        others = np.nonzero(active)[0]
+        if others.size:
+            updated = _lw_update(linkage, _triangle_to_node(work, others, i),
+                                 _triangle_to_node(work, others, j),
+                                 height, size[i], size[j], size[others])
+            work[others, new] = updated
+            closer = updated < nd[others]
+            nd[others[closer]] = updated[closer]
+            nn[others[closer]] = new
+        work[:i, i] = np.inf
+        work[:j, j] = np.inf
+        stale = nn[:new] == i
+        stale |= nn[:new] == j
+        stale &= active[:new]
+        _triangle_rescan(work, nd, nn, np.flatnonzero(stale), new + 1)
+        active[new] = True
+        size[new] = size[i] + size[j]
+        merges[step] = (i, j, height, size[new])
+    return merges
+
+
+def _triangle_to_node(work: np.ndarray, others: np.ndarray, node: int) -> np.ndarray:
+    """Distances from the sorted live nodes ``others`` to ``node``."""
+    split = int(np.searchsorted(others, node))
+    return np.concatenate((work[others[:split], node], work[node, others[split:]]))
+
+
+def _triangle_rescan(work: np.ndarray, nd: np.ndarray, nn: np.ndarray, rows: np.ndarray,
+                     stop: int) -> None:
+    """Recompute the cached minimum of ``rows`` over columns < ``stop``.
+
+    Entries on and below the diagonal are inf, so a finite minimum always
+    lies in a higher-numbered column, and ``argmin`` takes the smallest.
+    """
+    for lo in range(0, rows.size, _RESCAN_ROWS):
+        chunk = rows[lo:lo + _RESCAN_ROWS]
+        block = work[chunk, :stop]
+        cols = np.argmin(block, axis=1)
+        nd[chunk] = block[np.arange(chunk.size), cols]
+        nn[chunk] = cols
 
 
 def walk_cut_merge_sequence(merges: np.ndarray, n: int, cutoff: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import cophenet
@@ -19,6 +21,7 @@ from oracles import (
     blas_cosine_distance,
     inline_cosine_distance_matrix,
     naive_merge_sequence,
+    triangle_merge_sequence,
     walk_cut_merge_sequence,
 )
 
@@ -88,10 +91,10 @@ def _partition(labels):
     return [first.setdefault(label, len(first)) for label in labels.tolist()]
 
 
-def _oracle_inputs(rng, trials, n_max=8):
+def _oracle_inputs(rng, trials, n_max=8, n_min=2):
     """Random rows, rows with duplicates, and 0/1 rows, whose distances tie."""
     for trial in range(trials):
-        n = int(rng.integers(2, n_max + 1))
+        n = int(rng.integers(n_min, n_max + 1))
         kind = trial % 3
         if kind == 0:
             rows = rng.normal(size=(n, 4))
@@ -132,6 +135,46 @@ class TestMergeSequence:
                 theirs = scipy_linkage(condensed, method=linkage)
                 np.testing.assert_allclose(cophenet(mine), cophenet(theirs),
                                            rtol=1e-8, atol=1e-10, err_msg=f"{linkage}, n={n}")
+
+    def test_bytes_match_triangle_layout_oracle(self):
+        rng = np.random.default_rng(29)
+        cases = [*_oracle_inputs(rng, 300, n_max=32),
+                 *_oracle_inputs(rng, 3, n_max=400, n_min=400)]
+        for trial, rows in cases:
+            dist = cosine_distance_matrix(rows)
+            for linkage in LINKAGES:
+                assert linkage_merge_sequence(dist, linkage).tobytes() == \
+                    triangle_merge_sequence(dist, linkage).tobytes(), \
+                    f"{linkage}, trial {trial}, n={rows.shape[0]}"
+
+    def test_reads_only_the_upper_triangle(self):
+        rng = np.random.default_rng(31)
+        for trial, rows in _oracle_inputs(rng, 30, n_max=40):
+            dist = cosine_distance_matrix(rows)
+            n = rows.shape[0]
+            lower = np.tril_indices(n, -1)
+            with_nan = dist.copy()
+            with_nan[lower] = np.nan
+            scrambled = dist.copy()
+            scrambled[lower] = rng.uniform(0.0, 2.0, size=lower[0].size)
+            for linkage in LINKAGES:
+                want = linkage_merge_sequence(dist, linkage).tobytes()
+                for variant in (with_nan, scrambled):
+                    assert linkage_merge_sequence(variant, linkage).tobytes() == want, \
+                        f"{linkage}, trial {trial}"
+
+    def test_work_memory_stays_within_three_n_squared_floats(self):
+        # numpy reports its buffers to tracemalloc; a (2n - 1)^2 work
+        # matrix alone would be ~4 n^2 floats
+        n = 500
+        dist = cosine_distance_matrix(np.random.default_rng(5).normal(size=(n, 16)))
+        tracemalloc.start()
+        try:
+            linkage_merge_sequence(dist, "average")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
 
     def test_tie_break_prefers_lowest_pair(self):
         # four identical points: all pairs at distance 0
