@@ -8,7 +8,7 @@ temporal chain. Segmentations are scored with a tolerance-based boundary
 F-measure and with the GCE/LCE consistency errors.
 """
 
-from .adwin import AdwinDetector, AdwinParams, detect_changes, epsilon_cut, rescale_to_unit
+from .adwin import AdwinParams, detect_changes, epsilon_cut, rescale_to_unit
 from .agglo import AggloParams, cluster_frames, cosine_distance, cosine_distance_matrix
 from .datamodel import (
     ConceptDetections,

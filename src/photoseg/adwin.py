@@ -12,8 +12,10 @@ The split scan is exhaustive, which is quadratic overall but exact; the
 classic bucket-compressed variant trades that exactness for speed and is
 not needed at the scale of day-long photo streams.
 
-Detectors are stateful sequential machines: one instance per stream.
-Distinct streams may run concurrently with independent instances.
+:func:`detect_changes` scans a whole stream in one call. It validates the
+array once, then replays the arrivals in order over one buffer of window
+prefix sums: each arrival appends one row of sums, and a boundary drops
+the window's older part and rebuilds the sums of what is left.
 """
 
 from __future__ import annotations
@@ -53,90 +55,74 @@ def epsilon_cut(m: float | np.ndarray, dim: int, delta_prime: float, p: int):
     is statistically significant at that confidence, so the threshold is
     infinite and the split simply cannot fire.
     """
+    m = np.asarray(m, dtype=np.float64)
     log_term = math.log(4.0 / (dim * delta_prime))
     if log_term <= 0.0:
-        return np.inf * np.ones_like(np.asarray(m, dtype=np.float64))
-    return dim ** (1.0 / p) * np.sqrt(log_term / (2.0 * np.asarray(m, dtype=np.float64)))
+        return np.full(np.shape(m), np.inf)
+    return dim ** (1.0 / p) * np.sqrt(log_term / (2.0 * m))
 
 
-class AdwinDetector:
-    """Streaming form of the detector. Feed frames with :meth:`add`."""
+def _best_split(prefix: np.ndarray, dim: int, params: AdwinParams):
+    """Admissible split of the window whose prefix sums are ``prefix``
+    with the largest bound violation, or None.
 
-    def __init__(self, params: AdwinParams | None = None):
-        self.params = params or AdwinParams()
-        self._window: list[np.ndarray] = []
-        self._start = 0      # global index of the first frame in the window
-        self._count = 0      # frames seen so far
-        self.boundaries: list[int] = []
-
-    def add(self, row: np.ndarray) -> list[int]:
-        """Consume one frame; returns boundaries fired by this arrival."""
-        row = np.atleast_1d(np.asarray(row, dtype=np.float64))
-        if not ((row >= 0.0) & (row <= 1.0)).all():
-            raise ValidationError(
-                f"frame {self._count}: entries outside [0, 1] or NaN, rescale the stream first"
-            )
-        self._window.append(row)
-        self._count += 1
-        fired: list[int] = []
-        while True:
-            split = self._scan()
-            if split is None:
-                break
-            boundary = self._start + split
-            fired.append(boundary)
-            self.boundaries.append(boundary)
-            self._window = self._window[split:]
-            self._start = boundary
-        return fired
-
-    def _scan(self):
-        """Admissible split with the largest bound violation, or None.
-
-        When several splits exceed their threshold the one with the most
-        evidence (largest gap minus threshold, earliest on ties) wins;
-        this pins the boundary to the sharpest mean shift instead of the
-        oldest split that barely clears the bound.
-        """
-        ms = self.params.min_subwindow
-        w = len(self._window)
-        if w < 2 * ms:
-            return None
-        p = self.params.p
-        dim = self._window[0].shape[0]
-        arr = np.asarray(self._window)
-        prefix = np.cumsum(arr, axis=0)
-        splits = np.arange(ms, w - ms + 1)
-        n1 = splits.astype(np.float64)
-        n2 = w - n1
-        mean_old = prefix[splits - 1] / n1[:, None]
-        mean_new = (prefix[-1] - prefix[splits - 1]) / n2[:, None]
-        gaps = (np.abs(mean_old - mean_new) ** p).sum(axis=1) ** (1.0 / p)
-        harmonic = 2.0 * n1 * n2 / (n1 + n2)
-        delta_prime = self.params.delta / w
-        threshold = epsilon_cut(harmonic, dim, delta_prime, p)
-        violation = gaps - threshold
-        best = int(np.argmax(violation))
-        if violation[best] <= 0.0:
-            return None
-        return int(splits[best])
-
-    def segmentation(self) -> Segmentation:
-        if self._count == 0:
-            raise ValidationError("empty stream")
-        return Segmentation.from_boundaries(self._count, self.boundaries)
+    When several splits exceed their threshold the one with the most
+    evidence (largest gap minus threshold, earliest on ties) wins;
+    this pins the boundary to the sharpest mean shift instead of the
+    oldest split that barely clears the bound.
+    """
+    ms = params.min_subwindow
+    w = prefix.shape[0]
+    if w < 2 * ms:
+        return None
+    p = params.p
+    splits = np.arange(ms, w - ms + 1)
+    n1 = splits.astype(np.float64)
+    n2 = w - n1
+    mean_old = prefix[splits - 1] / n1[:, None]
+    mean_new = (prefix[-1] - prefix[splits - 1]) / n2[:, None]
+    gaps = (np.abs(mean_old - mean_new) ** p).sum(axis=1) ** (1.0 / p)
+    harmonic = 2.0 * n1 * n2 / (n1 + n2)
+    threshold = epsilon_cut(harmonic, dim, params.delta / w, p)
+    violation = gaps - threshold
+    best = int(np.argmax(violation))
+    if violation[best] <= 0.0:
+        return None
+    return int(splits[best])
 
 
 def detect_changes(stream: np.ndarray, params: AdwinParams | None = None) -> Segmentation:
-    """Run the detector over a full (n, k) stream with entries in [0, 1];
-    an entry outside it, NaN included, raises :class:`ValidationError`."""
+    """Scan a full (n, k) stream with entries in [0, 1] for mean shifts;
+    an entry outside it, NaN included, raises :class:`ValidationError`
+    naming the first such frame."""
+    params = params or AdwinParams()
     arr = np.asarray(stream, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
+    if arr.ndim != 2 or 0 in arr.shape:
         raise ValidationError("expected a non-empty (n, k) stream")
-    detector = AdwinDetector(params)
-    for row in arr:
-        detector.add(row)
-    return detector.segmentation()
+    in_range = ((arr >= 0.0) & (arr <= 1.0)).all(axis=1)
+    if not in_range.all():
+        raise ValidationError(
+            f"frame {int(np.argmin(in_range))}: entries outside [0, 1] or NaN, "
+            "rescale the stream first"
+        )
+    n, dim = arr.shape
+    # prefix[:w] holds the running sums of the window arr[start:t + 1];
+    # rows past the longest window are never written, so never touched
+    prefix = np.empty_like(arr)
+    prefix[0] = arr[0]
+    boundaries: list[int] = []
+    start = 0
+    for t in range(1, n):      # a one-frame window has no admissible split
+        w = t + 1 - start
+        prefix[w - 1] = prefix[w - 2] + arr[t]
+        while (split := _best_split(prefix[:w], dim, params)) is not None:
+            start += split
+            boundaries.append(start)
+            w -= split
+            # same sequential sums as the per-row updates, so same bits;
+            # then the same arrival is scanned again on the shorter window
+            np.cumsum(arr[start:t + 1], axis=0, out=prefix[:w])
+    return Segmentation.from_boundaries(n, boundaries)
 
 
 def rescale_to_unit(stream: np.ndarray) -> np.ndarray:

@@ -57,14 +57,25 @@ class TestDetectChanges:
             detect_changes(np.array([[0.5], [1.5]]), AdwinParams())
 
     def test_rejects_empty(self):
-        with pytest.raises(ValidationError):
-            detect_changes(np.zeros((0, 2)), AdwinParams())
+        # no frames, or frames with no entries (whose bound would divide by 0)
+        for shape in ((0, 2), (5, 0)):
+            with pytest.raises(ValidationError, match="non-empty"):
+                detect_changes(np.zeros(shape), AdwinParams())
 
     def test_rejects_nan(self):
-        stream = np.random.default_rng(3).uniform(size=(30, 4))
-        stream[12, 2] = np.nan
-        with pytest.raises(ValidationError, match="frame 12"):
-            detect_changes(stream, AdwinParams())
+        # every kind of bad entry names the first bad row, also one that
+        # arrives after a boundary has fired (the fixture's is near 100)
+        for bad in (np.nan, np.inf, -0.1, 1.5):
+            stream = np.random.default_rng(3).uniform(size=(30, 4))
+            stream[12, 2] = bad
+            stream[20, 0] = bad
+            with pytest.raises(ValidationError, match="^frame 12: "):
+                detect_changes(stream, AdwinParams())
+            stream = mean_shift_fixture()
+            stream[150, 0] = bad
+            stream[170, 0] = bad
+            with pytest.raises(ValidationError, match="^frame 150: "):
+                detect_changes(stream, AdwinParams(delta=0.1))
 
     def test_monotone_sensitivity_on_fixtures(self):
         fixtures = [mean_shift_fixture(seed=s) for s in (42, 43, 44)]
@@ -84,17 +95,39 @@ class TestDetectChanges:
 
     def test_matches_full_rescan_oracle_bit_exactly(self):
         rng = np.random.default_rng(123)
+        cases = []
         for trial in range(30):
             n = int(rng.integers(4, 65))
             k = int(rng.integers(1, 5))
             stream = rng.uniform(0, 1, size=(n, k))
             if trial % 3 == 0:   # plant a shift in some streams
                 stream[n // 2:] = np.clip(stream[n // 2:] + 0.45, 0, 1)
-            for delta in (0.05, 0.2):
-                params = AdwinParams(delta=delta)
-                got = detect_changes(stream, params).boundaries
-                want = tuple(full_rescan_adwin(stream, delta))
-                assert got == want
+            cases += [(stream, delta) for delta in (0.05, 0.2)]
+        for trial in range(6):
+            n = int(rng.integers(20, 90))
+            k = int(rng.integers(1, 6))
+            stationary = np.clip(0.5 + rng.normal(0, 0.05, size=(n, k)), 0, 1)
+            binary = rng.integers(0, 2, size=(n, k)).astype(np.float64)
+            constant_column = rng.uniform(0, 1, size=(n, k))
+            constant_column[:, trial % k] = 0.3
+            cases += [(s, delta) for s in (stationary, binary, constant_column)
+                      for delta in (0.05, 0.6)]
+        # knife-edge widths: dim * delta / w crosses 4 at w = 3, 9 and 15
+        for k in (20, 60, 100):
+            cases.append((rng.uniform(0, 1, size=(60, k)), 0.6))
+        # several boundaries deep into a long stream, where the window is
+        # rebuilt and the same arrival rescanned many times
+        for trial in range(3):
+            means = rng.uniform(0, 1, size=(6, 3))
+            long = np.repeat(means, 50, axis=0) + rng.normal(0, 0.05, size=(300, 3))
+            cases.append((np.clip(long, 0, 1), 0.1))
+        for stream, delta in cases:
+            for p in (1, 2, 3):
+                for min_subwindow in (1, 2, 5):
+                    params = AdwinParams(delta=delta, p=p, min_subwindow=min_subwindow)
+                    got = detect_changes(stream, params).boundaries
+                    want = tuple(full_rescan_adwin(stream, delta, p, min_subwindow))
+                    assert got == want
 
     def test_output_always_valid_segmentation(self):
         rng = np.random.default_rng(77)

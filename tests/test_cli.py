@@ -152,6 +152,12 @@ def test_validation_errors_exit_2(tmp_path):
     rc = main(["segment", str(bad), "--out", str(tmp_path / "x.json")])
     assert rc == 2
 
+    widthless = tmp_path / "widthless.jsonl"
+    widthless.write_text('{"id": "a", "vector": []}\n{"id": "b", "vector": []}\n')
+    rc = main(["segment", str(widthless), "--format", "jsonl", "--no-semantic",
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+
     missing = main(["evaluate", str(tmp_path / "nope.json"), str(tmp_path / "nope.json")])
     assert missing == 2
 
