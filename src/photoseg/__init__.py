@@ -14,7 +14,6 @@ from .datamodel import (
     ConceptDetections,
     EvalReport,
     FeatureStream,
-    Frame,
     Segmentation,
     ValidationError,
     load_concept_detections,

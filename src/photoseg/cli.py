@@ -33,6 +33,7 @@ from .datamodel import (
     report_csv_row,
     save_concept_detections,
     save_feature_stream,
+    save_report,
     save_segmentation,
 )
 from .evaluate import MatchParams, evaluate_pair
@@ -127,9 +128,7 @@ def _cmd_evaluate(args) -> int:
     else:
         print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     if args.out:
-        with Path(args.out).open("w") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        save_report(report, args.out)
     return 0
 
 

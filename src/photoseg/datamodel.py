@@ -31,19 +31,6 @@ class ValidationError(ValueError):
     """An input file or constructed value violates its contract."""
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One position in a photo stream.
-
-    ``index`` is the 0-based position, ``id`` an opaque identifier such as
-    the original filename, ``timestamp`` optional seconds since epoch.
-    """
-
-    index: int
-    id: str = ""
-    timestamp: Optional[float] = None
-
-
 def _as_index(value, what: str) -> int:
     """``value`` as an int: ints, numpy integers and integral floats pass;
     fractional, non-finite, boolean and non-numeric values are rejected."""
@@ -101,13 +88,6 @@ class Segmentation:
             lab[s:] = k
         return lab
 
-    def segment_containing(self, i: int) -> tuple[int, int]:
-        if not 0 <= i < self.n:
-            raise ValidationError(f"frame index {i} out of range for n={self.n}")
-        k = int(np.searchsorted(np.asarray(self.starts), i, side="right")) - 1
-        segs = self.segments()
-        return segs[k]
-
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Segmentation":
         """Boundaries wherever consecutive entries differ."""
@@ -162,13 +142,14 @@ class ConceptDetections:
 class FeatureStream:
     """Ordered per-frame contextual feature vectors for one day-long sequence.
 
-    ``contextual`` has shape (n, d_c) and finite entries; ``frames``
-    optionally carries one :class:`Frame` per row. The semantic and fused
-    blocks built from it live on the pipeline's result.
+    ``contextual`` has shape (n, d_c) with d_c >= 1 and finite entries;
+    ``ids`` optionally names each row, such as by the photo's filename.
+    The semantic and fused blocks built from it live on the pipeline's
+    result.
     """
 
     contextual: np.ndarray
-    frames: Optional[tuple[Frame, ...]] = None
+    ids: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
         self.contextual = np.asarray(self.contextual, dtype=np.float64)
@@ -176,6 +157,8 @@ class FeatureStream:
             raise ValidationError("contextual features must be a 2-d array")
         if self.contextual.shape[0] == 0:
             raise ValidationError("feature stream is empty")
+        if self.contextual.shape[1] == 0:
+            raise ValidationError("feature vectors have zero width")
         finite = np.isfinite(self.contextual)
         if not finite.all():
             row, col = np.argwhere(~finite)[0]
@@ -183,15 +166,8 @@ class FeatureStream:
                 f"row {row}, column {col}: non-finite contextual value "
                 f"{self.contextual[row, col]}"
             )
-        if self.frames is not None:
-            if len(self.frames) != self.n:
-                raise ValidationError("frames length must equal row count")
-            for k, fr in enumerate(self.frames):
-                if fr.index != k:
-                    raise ValidationError("frame indices must be consecutive from 0")
-            stamps = [f.timestamp for f in self.frames if f.timestamp is not None]
-            if any(b < a for a, b in zip(stamps, stamps[1:])):
-                raise ValidationError("timestamps must be non-decreasing")
+        if self.ids is not None and len(self.ids) != self.n:
+            raise ValidationError("ids and rows length mismatch")
 
     @property
     def n(self) -> int:
@@ -306,10 +282,11 @@ def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
     """Load contextual feature vectors, one frame per row.
 
     ``format`` is ``"csv"`` (numeric columns) or ``"jsonl"`` (objects with
-    an ``id`` and a ``vector``). Row order defines frame order. Raises
-    :class:`ValidationError` on an empty file, text that is not UTF-8, a
-    non-numeric or non-finite cell, a malformed JSON line, or rows of
-    differing dimension.
+    an ``id`` and a ``vector``), whose ids become the stream's ``ids``.
+    Row order defines frame order. Raises :class:`ValidationError` on an
+    empty file, text that is not UTF-8, a non-numeric or non-finite cell,
+    a malformed JSON line, or rows of differing or zero width; the
+    non-finite and zero-width errors name the file.
     """
     path = Path(path)
     with _decoding(path):
@@ -322,7 +299,7 @@ def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
                                       dtype=np.float64)
             except ValueError:
                 rows = _csv_rows(path)
-            frames = None
+            ids = None
         elif format in ("jsonl", "json-lines"):
             rows = []
             ids = []
@@ -336,7 +313,7 @@ def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
                         raise ValidationError(f"row {r}: missing or non-list 'vector' field")
                     rows.append([_parse_float(str(c), r, j) for j, c in enumerate(vec)])
                     ids.append(str(obj.get("id", r)))
-            frames = tuple(Frame(index=k, id=i) for k, i in enumerate(ids))
+            ids = tuple(ids)
         else:
             raise ValidationError(f"unknown feature format {format!r}")
 
@@ -346,7 +323,10 @@ def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValidationError(f"row {r} has {len(row)} columns, expected {width}")
-    return FeatureStream(contextual=np.asarray(rows, dtype=np.float64), frames=frames)
+    try:
+        return FeatureStream(contextual=np.asarray(rows, dtype=np.float64), ids=ids)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_feature_stream(stream: FeatureStream, path: str | Path, format: str = "csv") -> None:
@@ -359,7 +339,7 @@ def save_feature_stream(stream: FeatureStream, path: str | Path, format: str = "
     elif format in ("jsonl", "json-lines"):
         with path.open("w") as fh:
             for k, row in enumerate(stream.contextual):
-                fid = stream.frames[k].id if stream.frames else str(k)
+                fid = stream.ids[k] if stream.ids else str(k)
                 fh.write(json.dumps({"id": fid, "vector": [float(x) for x in row]}) + "\n")
     else:
         raise ValidationError(f"unknown feature format {format!r}")

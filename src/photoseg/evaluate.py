@@ -76,11 +76,9 @@ def local_refinement_error(seg_a: Segmentation, seg_b: Segmentation, i: int) -> 
     other."""
     if seg_a.n != seg_b.n:
         raise ValidationError(f"frame counts disagree: {seg_a.n} vs {seg_b.n}")
-    sa, ea = seg_a.segment_containing(i)
-    sb, eb = seg_b.segment_containing(i)
-    len_a = ea - sa + 1
-    overlap = max(0, min(ea, eb) - max(sa, sb) + 1)
-    return (len_a - overlap) / len_a
+    if not 0 <= i < seg_a.n:
+        raise ValidationError(f"frame index {i} out of range for n={seg_a.n}")
+    return float(_local_error_profile(seg_a, seg_b)[i])
 
 
 def _local_error_profile(seg_a: Segmentation, seg_b: Segmentation) -> np.ndarray:

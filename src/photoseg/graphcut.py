@@ -27,6 +27,9 @@ from .agglo import cosine_distance
 from .datamodel import Segmentation, ValidationError
 from .fusion import unit_rows
 
+# ICM gives up after this many sweeps over the frames without converging
+_ICM_MAX_SWEEPS = 50
+
 
 @dataclass(frozen=True)
 class GcParams:
@@ -217,7 +220,7 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> n
 
 
 def _icm_refine(labels: np.ndarray, mixed: np.ndarray, stream: np.ndarray,
-                params: GcParams, max_sweeps: int = 50) -> np.ndarray:
+                params: GcParams) -> np.ndarray:
     """Coordinate descent over frames, keeping the labeling monotone.
 
     Only the terms involving the updated frame change, so each move is
@@ -241,7 +244,7 @@ def _icm_refine(labels: np.ndarray, mixed: np.ndarray, stream: np.ndarray,
                 e += weight * pairs[i][j - i + radius] * (1.0 / sizes[i] + 1.0 / sizes[j])
         return e
 
-    for _ in range(max_sweeps):
+    for _ in range(_ICM_MAX_SWEEPS):
         changed = False
         for i in range(n):
             lo = labels[i - 1] if i > 0 else 0

@@ -13,7 +13,6 @@ is reproducible byte for byte. Stage failures carry the stage name.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import json
 import sys
@@ -189,25 +188,21 @@ def _adwin_candidate(fused: np.ndarray, params: AdwinParams) -> Segmentation:
     return detect_changes(rescale_to_unit(fused), params)
 
 
-def _candidate(memo: Optional[dict], key, params, name: str, fn, fused: np.ndarray):
-    """``fn(fused, params)`` as the stage ``name``; with a ``memo``, looked
-    up there under ``(key, params)`` and stored on a miss."""
-    if memo is None:
-        return _stage(name, fn, fused, params)
+def _candidate(memo: dict, key, params, name: str, fn, fused: np.ndarray):
+    """``fn(fused, params)`` as the stage ``name``, looked up in ``memo``
+    under ``(key, params)`` and stored there on a miss."""
     if (key, params) not in memo:
         memo[key, params] = _stage(name, fn, fused, params)
     return memo[key, params]
 
 
-def _unaries(memo: Optional[dict], key, ls, fused: np.ndarray,
+def _unaries(memo: dict, key, ls, fused: np.ndarray,
              params: GcParams) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`unary_energies` as the stage "graphcut". With a ``memo``,
-    the last call's tables are reused when ``key`` equals its key, and
-    replaced otherwise: the memo holds one pair of (n, labels) tables, not
-    one per distinct input. Shared tables are read-only, since
-    :func:`minimize` only reads them."""
-    if memo is None:
-        return _stage("graphcut", unary_energies, ls, fused, params)
+    """:func:`unary_energies` as the stage "graphcut". The last call's
+    tables are reused when ``key`` equals its key, and replaced otherwise:
+    ``memo`` holds one pair of (n, labels) tables, not one per distinct
+    input. The tables are read-only, since :func:`minimize` only reads
+    them."""
     held = memo.pop("unaries", None)
     if held is not None and held[0] == key:
         tables = held[1]
@@ -235,13 +230,22 @@ def run_pipeline(features: FeatureStream,
     similarity provider defaults to exact tag matching, which degrades the
     vocabulary to one cluster per distinct tag.
 
-    ``memo`` is a dict the caller owns (see :func:`grid_search`): the two
-    candidate segmentations are looked up in it, keyed on the fused
-    matrix's shape and content digest and on their own parameters, and
-    stored in it on a miss. The unary tables of the previous run are kept
-    in it and reused when the fused key, both candidates' parameters and
-    ``softmax_temp`` all match. Without it nothing is hashed or kept.
+    ``memo`` holds work shared by runs on the same inputs (see
+    :func:`grid_search`); by default a fresh dict. The candidate
+    segmentations are stored in it under their own parameters and the
+    config's top-level values, which fix the fused matrix when the inputs
+    are fixed (``agglo``, ``adwin`` and ``gc`` act after fusion); the
+    previous run's unary tables are reused when that key, both
+    candidates' parameters and ``softmax_temp`` match. A memo refuses,
+    with :class:`ValidationError`, a run on other ``features``,
+    ``detections`` or ``provider`` objects than its first; it cannot see
+    one of them changed in place.
     """
+    memo = {} if memo is None else memo
+    inputs = (features, detections, provider)
+    if any(a is not b for a, b in zip(memo.setdefault("inputs", inputs), inputs)):
+        raise ValidationError("memo holds results for other features, detections "
+                              "or similarity provider")
     n = features.n
     semantic_matrix = None
     kept: Optional[list[int]] = None
@@ -271,8 +275,9 @@ def run_pipeline(features: FeatureStream,
     contextual = _stage("fusion", signed_root_normalize, features.contextual)
     fused = _stage("fusion", fuse, contextual, semantic_matrix, config.blend)
 
-    key = None if memo is None else (
-        fused.shape, hashlib.blake2b(np.ascontiguousarray(fused)).digest())
+    # every top-level value but the grid; a new one only adds misses
+    key = tuple(getattr(config, name) for name, (_, part) in config_keys().items()
+                if part is None and name != "grid")
     seg_ac = _candidate(memo, key, config.agglo, "agglomerative", cluster_frames, fused)
     seg_adw = _candidate(memo, key, config.adwin, "adwin", _adwin_candidate, fused)
 
@@ -337,11 +342,12 @@ def grid_search(features: FeatureStream,
     enumeration order over ``GRID_PARAMS``, so results are reproducible.
 
     Every configuration runs the full pipeline, except that within this
-    call each candidate segmentation is computed once per distinct fused
-    matrix and candidate parameters, and reused by every configuration
-    that shares them; consecutive configurations that share both
-    candidates and ``softmax_temp`` also share one pair of unary tables
-    (``memo`` of :func:`run_pipeline`). Nothing is kept across calls.
+    call each candidate segmentation is computed once per distinct
+    top-level config values and candidate parameters, and reused by every
+    configuration that shares them; consecutive configurations that share
+    both candidates and ``softmax_temp`` also share one pair of unary
+    tables (``memo`` of :func:`run_pipeline`). Nothing is kept across
+    calls.
     """
     if not config.grid:
         raise ValidationError("configuration declares no grid")

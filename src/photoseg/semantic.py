@@ -29,6 +29,9 @@ from scipy.ndimage import convolve1d
 from .datamodel import ConceptDetections, ValidationError, read_json_object
 from .fusion import unit_rows
 
+# seeded k-means runs per spectral clustering; the least distortion wins
+_KMEANS_RESTARTS = 10
+
 
 class UnknownTagError(ValidationError):
     """A detected tag is missing from the similarity provider."""
@@ -343,7 +346,7 @@ def _farthest_point_kmeans(points: np.ndarray, k: int, seed,
     return labels, distortion
 
 
-def _spectral_labels(weights: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndarray:
+def _spectral_labels(weights: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Normalized-Laplacian embedding followed by seeded k-means; the
     restarts share their seed rows."""
     v = weights.shape[0]
@@ -357,7 +360,7 @@ def _spectral_labels(weights: np.ndarray, k: int, seed: int, restarts: int = 10)
 
     best_labels, best_distortion = None, np.inf
     seed_rows: dict = {}
-    for r in range(restarts):
+    for r in range(_KMEANS_RESTARTS):
         labels, distortion = _farthest_point_kmeans(embedding, k, seed=[seed, r],
                                                     seed_rows=seed_rows)
         if distortion < best_distortion:

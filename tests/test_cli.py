@@ -1,11 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from photoseg.cli import _load_config, build_parser, main
 from photoseg.datamodel import load_segmentation
-from photoseg.pipeline import PipelineConfig
+from photoseg.evaluate import evaluate_pair
+from photoseg.pipeline import PipelineConfig, config_keys
 from photoseg.synth import block_spec
 
 
@@ -46,6 +48,9 @@ def test_segment_and_evaluate_flow(fixture_dir, tmp_path, capsys):
     report = json.loads(out_path.read_text())
     assert report["fmeasure"] == 1.0
     assert report["lce"] <= report["gce"]
+    # the bytes of a one-line JSON dump with sorted keys
+    expected = evaluate_pair(pred, load_segmentation(fixture_dir / "ground_truth.json"))
+    assert out_path.read_text() == json.dumps(expected.to_dict(), sort_keys=True) + "\n"
 
 
 def test_evaluate_csv_row_mode(fixture_dir, tmp_path, capsys):
@@ -146,7 +151,7 @@ def test_config_file_drives_segment(fixture_dir, tmp_path):
     assert load_segmentation(out).starts == (0, 15, 30)
 
 
-def test_validation_errors_exit_2(tmp_path):
+def test_validation_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3\n")
     rc = main(["segment", str(bad), "--out", str(tmp_path / "x.json")])
@@ -157,6 +162,7 @@ def test_validation_errors_exit_2(tmp_path):
     rc = main(["segment", str(widthless), "--format", "jsonl", "--no-semantic",
                "--out", str(tmp_path / "x.json")])
     assert rc == 2
+    assert f"error: {widthless}: feature vectors have zero width" in capsys.readouterr().err
 
     missing = main(["evaluate", str(tmp_path / "nope.json"), str(tmp_path / "nope.json")])
     assert missing == 2
@@ -367,6 +373,12 @@ class TestConfigSurface:
         assert config == PipelineConfig.from_dict({
             k: v for k, v in NON_DEFAULT.items()
             if k not in ("p", "min_subwindow", "radius", "tolerance", "grid")})
+
+    def test_readme_lists_every_key_in_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("`--config` accepts")
+        listing = readme[start:readme.index(". Every key", start)].split(":", 1)[1]
+        assert re.findall(r"`(\w+)`", listing) == list(config_keys())
 
     def test_to_dict_keys_and_order(self):
         assert list(PipelineConfig.from_dict(NON_DEFAULT).to_dict().items()) == \

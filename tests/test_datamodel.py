@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from photoseg.datamodel import (
     ConceptDetections,
     FeatureStream,
-    Frame,
     Segmentation,
     ValidationError,
     load_concept_detections,
@@ -144,17 +144,24 @@ class TestFeatureStreamIO:
 
     def test_jsonl_roundtrip(self, tmp_path):
         path = tmp_path / "feat.jsonl"
-        frames = (Frame(0, "img0"), Frame(1, "img1"))
-        stream = FeatureStream(contextual=np.array([[0.5, 1.0], [2.0, 3.0]]), frames=frames)
+        stream = FeatureStream(contextual=np.array([[0.5, 1.0], [2.0, 3.0]]),
+                               ids=("img0", "img1"))
         save_feature_stream(stream, path, format="jsonl")
         loaded = load_feature_stream(path, format="jsonl")
         np.testing.assert_array_equal(loaded.contextual, stream.contextual)
-        assert [f.id for f in loaded.frames] == ["img0", "img1"]
+        assert loaded.ids == ("img0", "img1")
 
-    def test_timestamps_must_be_ordered(self):
-        frames = (Frame(0, "a", 100.0), Frame(1, "b", 90.0))
-        with pytest.raises(ValidationError, match="non-decreasing"):
-            FeatureStream(contextual=np.zeros((2, 3)), frames=frames)
+    def test_ids_must_match_rows(self):
+        with pytest.raises(ValidationError, match="ids"):
+            FeatureStream(contextual=np.zeros((2, 3)), ids=("a",))
+
+    def test_zero_width_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="zero width"):
+            FeatureStream(np.zeros((3, 0)))
+        path = tmp_path / "feat.jsonl"
+        path.write_text('{"id": "a", "vector": []}\n')
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: feature vectors")):
+            load_feature_stream(path, format="jsonl")
 
 
 class TestConceptDetectionsIO:

@@ -16,7 +16,7 @@ from photoseg.evaluate import (
     trivial_segmentations,
 )
 
-from oracles import brute_gce_lce
+from oracles import brute_gce_lce, brute_local_error, segmentation_to_sets
 
 
 def random_segmentation(rng, n):
@@ -113,8 +113,20 @@ class TestLocalRefinementError:
 
     def test_index_out_of_range(self):
         seg = Segmentation(5, (0,))
-        with pytest.raises(ValidationError):
-            local_refinement_error(seg, seg, 5)
+        for i in (5, -1):
+            with pytest.raises(ValidationError):
+                local_refinement_error(seg, seg, i)
+
+    def test_matches_brute_force_at_every_frame(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(1, 30))
+            seg_a, seg_b = random_segmentation(rng, n), random_segmentation(rng, n)
+            sets_a = segmentation_to_sets(seg_a.starts, n)
+            sets_b = segmentation_to_sets(seg_b.starts, n)
+            for i in range(n):
+                assert local_refinement_error(seg_a, seg_b, i) == \
+                    brute_local_error(sets_a, sets_b, i)
 
 
 class TestConsistencyErrors:

@@ -12,10 +12,12 @@ from photoseg.pipeline import (
     GRID_PARAMS,
     PipelineConfig,
     StageError,
+    config_keys,
     grid_rows_to_csv,
     grid_search,
     run_pipeline,
 )
+from photoseg.semantic import ExactMatchProvider
 from photoseg.synth import block_spec, generate
 
 
@@ -242,6 +244,11 @@ REUSE_GRID = {"linkage": ["average", "single"], "cutoff": [0.3, 0.6], "delta": [
               "radius": [1, 2]}
 
 
+# one non-default value for every key of a nested parameter class
+NESTED_VALUES = {"linkage": "single", "cutoff": 0.7, "delta": 0.01, "p": 3, "min_subwindow": 4,
+                 "unary_mix": 0.3, "pairwise_weight": 0.4, "radius": 2, "softmax_temp": 0.2}
+
+
 @pytest.fixture(scope="module")
 def reuse_day():
     return generate(block_spec(num_segments=4, segment_length=(12, 20, 8, 16),
@@ -313,10 +320,27 @@ class TestGridSearchReuse:
         grid_search(stream, det, gt, config)
         assert (len(agglo), len(adwin), len(unary)) == (32, 16, 64)
 
-    def test_direct_run_hashes_nothing(self, clean_fixture, monkeypatch):
-        stream, det, gt = clean_fixture
-        monkeypatch.setattr(pipeline, "hashlib", None)
-        assert run_pipeline(stream, det).segmentation == gt
+    def test_memo_refuses_other_inputs(self, clean_fixture, reuse_day):
+        stream, det, _ = clean_fixture
+        memo = {}
+        run_pipeline(stream, det, memo=memo)
+        other_stream, other_det, _ = reuse_day
+        with pytest.raises(ValidationError, match="memo"):
+            run_pipeline(other_stream, other_det, memo=memo)
+        with pytest.raises(ValidationError, match="memo"):
+            run_pipeline(stream, det, provider=ExactMatchProvider(), memo=memo)
+        run_pipeline(stream, det, PipelineConfig().override(cutoff=0.7), memo=memo)
+
+    def test_nested_keys_leave_fused_unchanged(self, reuse_day):
+        # the memo keys candidates on the top-level config values alone,
+        # which holds only while no nested value reaches the fused matrix
+        stream, det, _ = reuse_day
+        assert set(NESTED_VALUES) == {k for k, (_, part) in config_keys().items() if part}
+        fused = run_pipeline(stream, det).fused.tobytes()
+        for key, value in NESTED_VALUES.items():
+            config = PipelineConfig().override(**{key: value})
+            assert config.to_dict()[key] != PipelineConfig().to_dict()[key], key
+            assert run_pipeline(stream, det, config).fused.tobytes() == fused, key
 
     def test_traced_stages_fire_in_every_configuration(self, reuse_day, monkeypatch):
         # the benchmark's tracer (bench/tracing.py, bench/layers.py) wraps
