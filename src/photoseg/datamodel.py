@@ -83,10 +83,8 @@ class Segmentation:
 
     def labels(self) -> np.ndarray:
         """Per-frame segment index, shape (n,)."""
-        lab = np.zeros(self.n, dtype=np.int64)
-        for k, s in enumerate(self.starts):
-            lab[s:] = k
-        return lab
+        lengths = np.diff(self.starts, append=self.n)
+        return np.repeat(np.arange(self.num_segments, dtype=np.int64), lengths)
 
     @classmethod
     def from_labels(cls, labels: Sequence[int]) -> "Segmentation":
@@ -94,8 +92,8 @@ class Segmentation:
         lab = np.asarray(labels)
         if lab.size == 0:
             raise ValidationError("cannot build a segmentation from zero frames")
-        starts = [0] + [i for i in range(1, lab.size) if lab[i] != lab[i - 1]]
-        return cls(int(lab.size), tuple(starts))
+        starts = np.flatnonzero(lab[1:] != lab[:-1]) + 1
+        return cls(int(lab.size), (0, *starts.tolist()))
 
     @classmethod
     def from_boundaries(cls, n: int, boundaries: Iterable[int]) -> "Segmentation":
@@ -138,21 +136,24 @@ class ConceptDetections:
         return sorted({tag for fr in self.frames for tag, _ in fr})
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureStream:
     """Ordered per-frame contextual feature vectors for one day-long sequence.
 
-    ``contextual`` has shape (n, d_c) with d_c >= 1 and finite entries;
-    ``ids`` optionally names each row, such as by the photo's filename.
-    The semantic and fused blocks built from it live on the pipeline's
-    result.
+    ``contextual`` has shape (n, d_c) with d_c >= 1 and finite entries. The
+    stream holds its own read-only float64 copy, so later writes to the
+    caller's array do not reach it. ``ids`` optionally names each row,
+    such as by the photo's filename. The semantic and fused blocks built
+    from it live on the pipeline's result.
     """
 
     contextual: np.ndarray
     ids: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        self.contextual = np.asarray(self.contextual, dtype=np.float64)
+        rows = np.array(self.contextual, dtype=np.float64)
+        rows.flags.writeable = False
+        object.__setattr__(self, "contextual", rows)
         if self.contextual.ndim != 2:
             raise ValidationError("contextual features must be a 2-d array")
         if self.contextual.shape[0] == 0:
@@ -178,7 +179,7 @@ class FeatureStream:
         return self.contextual.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
     """Boundary detection scores plus segmentation consistency errors.
 
@@ -290,7 +291,7 @@ def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
     """
     path = Path(path)
     with _decoding(path):
-        if format in ("csv",):
+        if format == "csv":
             try:
                 with warnings.catch_warnings():
                     # an empty file warns here; it is rejected below
@@ -300,7 +301,7 @@ def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
             except ValueError:
                 rows = _csv_rows(path)
             ids = None
-        elif format in ("jsonl", "json-lines"):
+        elif format == "jsonl":
             rows = []
             ids = []
             with path.open() as fh:
@@ -336,7 +337,7 @@ def save_feature_stream(stream: FeatureStream, path: str | Path, format: str = "
             writer = csv.writer(fh)
             for row in stream.contextual:
                 writer.writerow([repr(float(x)) for x in row])
-    elif format in ("jsonl", "json-lines"):
+    elif format == "jsonl":
         with path.open("w") as fh:
             for k, row in enumerate(stream.contextual):
                 fid = stream.ids[k] if stream.ids else str(k)

@@ -12,7 +12,7 @@ F-measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -124,10 +124,7 @@ def trivial_segmentations(n: int) -> tuple[Segmentation, Segmentation]:
 def evaluate_pair(pred: Segmentation, gt: Segmentation,
                   params: MatchParams = MatchParams()) -> EvalReport:
     """F-measure plus consistency errors in one report."""
-    report = f_measure(pred, gt, params)
-    report.gce = gce(pred, gt)
-    report.lce = lce(pred, gt)
-    return report
+    return replace(f_measure(pred, gt, params), gce=gce(pred, gt), lce=lce(pred, gt))
 
 
 def macro_fmeasure(reports: Sequence[EvalReport]) -> float:

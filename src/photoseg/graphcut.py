@@ -10,10 +10,10 @@ so splitting between lookalike frames is expensive while splitting at a
 genuine appearance change is nearly free.
 
 Labelings are constrained to be non-decreasing along the stream, which
-keeps the output an ordered segmentation and makes the radius-1 problem
-an exact chain dynamic program rather than an approximate cut. Larger
-neighborhood radii refine that exact solution with iterated conditional
-modes.
+keeps the output an ordered segmentation and makes the problem an exact
+chain dynamic program at every neighborhood radius rather than an
+approximate cut: a frame's cost against the frames before it depends only
+on its label and on how long ago that label's run began.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from scipy.special import log_softmax
 from .agglo import cosine_distance
 from .datamodel import Segmentation, ValidationError
 from .fusion import unit_rows
-
-# ICM gives up after this many sweeps over the frames without converging
-_ICM_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -180,97 +177,90 @@ def labeling_energy(labels: np.ndarray, unary_ac: np.ndarray, unary_adw: np.ndar
 
 
 def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> np.ndarray:
-    """Exact minimum-energy monotone labeling for a radius-1 neighborhood,
-    whatever ``params.radius`` says: only ``pairwise_weight`` is read."""
+    """Exact minimum-energy monotone labeling for any radius.
+
+    In a monotone labeling, frames j < t disagree exactly when a switch
+    falls in (j, t]. So frame t's cost against the frames before it
+    depends only on its age a, the number of frames since its label's run
+    began: it pays each pair at a distance d in (a, r], with
+    r = min(radius, n - 1). Each label carries r states, ages 0 to r - 1.
+    A switch into a higher label enters age 0 from the best state of any
+    lower label, a stay ages the state by one, and age r - 1, past which
+    a frame pays nothing more, absorbs. At radius 1 that is one state per
+    label, paying the adjacent pair on a switch.
+    """
     n, num_labels = mixed.shape
     if n == 1:
         return np.array([int(np.argmin(mixed[0]))])
-    sizes = _neighbor_sizes(n, 1)
-    adj = _pair_energies(stream, 1)[:-1, 2]
-    # cost charged when frames i and i+1 disagree, summed over both
-    # frames' neighborhood averages
-    switch_cost = params.pairwise_weight * adj * (1.0 / sizes[:-1] + 1.0 / sizes[1:])
+    r = min(params.radius, n - 1)
+    sizes = _neighbor_sizes(n, r)
+    pairs = _pair_energies(stream, r)
+    # term[t, d - 1]: the cost of frames t - d and t disagreeing, summed
+    # over both frames' neighborhood averages; pay[t, a] sums it over d > a
+    term = np.zeros((n, r))
+    for d in range(1, r + 1):
+        term[d:, d - 1] = params.pairwise_weight * pairs[d:, r - d] \
+            * (1.0 / sizes[d:] + 1.0 / sizes[:-d])
+    pay = np.cumsum(term[:, ::-1], axis=1)[:, ::-1]
 
-    labels_idx = np.arange(num_labels)
-    cost = mixed[0].copy()
-    back = np.zeros((n, num_labels), dtype=np.int64)
-    back[0] = labels_idx
-    # switching into label l comes from the best label below l; label 0
-    # has none, so its switch cost stays inf
-    switch = np.full(num_labels, np.inf)
-    new_min = np.ones(num_labels, dtype=bool)
-    from_label = np.zeros(num_labels, dtype=np.int64)
-    for i in range(1, n):
-        prefix_best = np.minimum.accumulate(cost)
-        # the first label attaining each prefix minimum: the last strict
-        # new minimum at or below it
-        np.less(cost[1:], prefix_best[:-1], out=new_min[1:])
-        prefix_arg = np.maximum.accumulate(np.where(new_min, labels_idx, 0))
-        from_label[1:] = prefix_arg[:-1]
-        np.add(prefix_best[:-1], switch_cost[i - 1], out=switch[1:])
-        take_stay = cost <= switch
-        back[i] = np.where(take_stay, labels_idx, from_label)
-        cost = mixed[i] + np.where(take_stay, cost, switch)
+    # the buffers below are filled in place, frame by frame
+    cost = np.full((r, num_labels), np.inf)
+    cost[0] = mixed[0]
+    cand = np.empty_like(cost)
+    # each label's best state; at radius 1, its only one
+    best = cost[0] if r == 1 else np.empty(num_labels)
+    prefix_best = np.empty(num_labels - 1)
+    new_min = np.ones(num_labels - 1, dtype=bool)
+    source_idx = np.arange(num_labels - 1)
+    source = np.empty(num_labels - 1, dtype=np.int64)
+    cost_young, cost_old = cost[:-1], cost[-1]
+    cand_aged, cand_old, cand_switch = cand[1:], cand[-1], cand[0, 1:]
+    pay_switch, pay_aged = pay[:, 0].tolist(), pay[:, 1:, None]
+    # per frame: the state a switch into each label comes from, and
+    # whether the absorbing state stayed
+    back_label = np.zeros((n, num_labels), dtype=np.int64)
+    back_age = np.zeros((n, num_labels), dtype=np.intp)
+    stay = np.zeros((n, num_labels), dtype=bool)
+    for t in range(1, n):
+        if r > 1:
+            cost.argmin(axis=0, out=back_age[t])
+            cost.min(axis=0, out=best)
+            np.add(cost_young, pay_aged[t], out=cand_aged)
+        # a switch into label l comes from the best state below l, and
+        # from the first label attaining that prefix minimum: the last
+        # strict new minimum at or below it
+        np.minimum.accumulate(best[:-1], out=prefix_best)
+        np.less(best[1:-1], prefix_best[:-1], out=new_min[1:])
+        np.multiply(new_min, source_idx, out=source)
+        np.maximum.accumulate(source, out=back_label[t, 1:])
+        # label 0 has no label below it to switch from (at radius 1 the
+        # stay below writes this row)
+        cand[0, 0] = np.inf
+        np.add(prefix_best, pay_switch[t], out=cand_switch)
+        np.less_equal(cost_old, cand_old, out=stay[t])
+        np.copyto(cand_old, cost_old, where=stay[t])
+        np.add(cand, mixed[t], out=cost)
 
+    # walk back: an absorbing state that stayed kept its state, age 0 came
+    # from a switch, and any other age from the age below it
     labels = np.zeros(n, dtype=np.int64)
-    labels[-1] = int(np.argmin(cost))
-    for i in range(n - 1, 0, -1):
-        labels[i - 1] = back[i, labels[i]]
+    age, label = divmod(int(np.argmin(cost)), num_labels)
+    for t in range(n - 1, 0, -1):
+        labels[t] = label
+        if age == r - 1 and stay[t, label]:
+            continue
+        if age == 0:
+            label = int(back_label[t, label])
+            age = int(back_age[t, label])
+        else:
+            age -= 1
+    labels[0] = label
     return labels
-
-
-def _icm_refine(labels: np.ndarray, mixed: np.ndarray, stream: np.ndarray,
-                params: GcParams) -> np.ndarray:
-    """Coordinate descent over frames, keeping the labeling monotone.
-
-    Only the terms involving the updated frame change, so each move is
-    scored by the local energy alone.
-    """
-    # plain Python lists: the scan reads single entries, where numpy
-    # scalar indexing would dominate
-    labels = labels.tolist()
-    n = len(labels)
-    radius = params.radius
-    weight = params.pairwise_weight
-    sizes = _neighbor_sizes(n, radius).tolist()
-    pairs = _pair_energies(stream, radius).tolist()
-
-    def local_energy(i: int, cand: int) -> float:
-        e = float(mixed[i, cand])
-        lo = max(0, i - radius)
-        hi = min(n - 1, i + radius)
-        for j in range(lo, hi + 1):
-            if j != i and labels[j] != cand:
-                e += weight * pairs[i][j - i + radius] * (1.0 / sizes[i] + 1.0 / sizes[j])
-        return e
-
-    for _ in range(_ICM_MAX_SWEEPS):
-        changed = False
-        for i in range(n):
-            lo = labels[i - 1] if i > 0 else 0
-            hi = labels[i + 1] if i < n - 1 else mixed.shape[1] - 1
-            if lo == hi:
-                continue
-            best_label = labels[i]
-            best_energy = local_energy(i, best_label)
-            for cand in range(lo, hi + 1):
-                if cand == labels[i]:
-                    continue
-                e = local_energy(i, cand)
-                if e < best_energy - 1e-12:
-                    best_label, best_energy = cand, e
-            if best_label != labels[i]:
-                labels[i] = best_label
-                changed = True
-        if not changed:
-            break
-    return np.asarray(labels, dtype=np.int64)
 
 
 def minimize_labels(ls: LabelSpace, unary_ac: np.ndarray, unary_adw: np.ndarray,
                     stream: np.ndarray, params: GcParams) -> np.ndarray:
-    """Minimum-energy monotone labeling; exact for radius 1, ICM-refined
-    from that optimum for larger radii.
+    """Minimum-energy monotone labeling, exact at every radius.
 
     Both unary tables must be (n, num_labels) and finite; a NaN or inf
     entry raises :class:`ValidationError`.
@@ -282,10 +272,7 @@ def minimize_labels(ls: LabelSpace, unary_ac: np.ndarray, unary_adw: np.ndarray,
     if not (np.isfinite(unary_ac).all() and np.isfinite(unary_adw).all()):
         raise ValidationError("unary tables must be finite")
     mixed = (1.0 - params.unary_mix) * unary_ac + params.unary_mix * unary_adw
-    labels = _chain_optimum(mixed, rows, params)
-    if params.radius > 1:
-        labels = _icm_refine(labels, mixed, rows, params)
-    return labels
+    return _chain_optimum(mixed, rows, params)
 
 
 def minimize(ls: LabelSpace, unary_ac: np.ndarray, unary_adw: np.ndarray,

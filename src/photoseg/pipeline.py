@@ -228,7 +228,9 @@ def run_pipeline(features: FeatureStream,
     ``detections`` may be None (or semantic processing disabled in the
     config); the pipeline then runs on contextual features alone. The
     similarity provider defaults to exact tag matching, which degrades the
-    vocabulary to one cluster per distinct tag.
+    vocabulary to one cluster per distinct tag while ``vocab_size`` is at
+    least the number of distinct tags; past that, the clusters come from
+    an all-zero tag graph (ROADMAP.md, item 3).
 
     ``memo`` holds work shared by runs on the same inputs (see
     :func:`grid_search`); by default a fresh dict. The candidate
@@ -238,8 +240,8 @@ def run_pipeline(features: FeatureStream,
     previous run's unary tables are reused when that key, both
     candidates' parameters and ``softmax_temp`` match. A memo refuses,
     with :class:`ValidationError`, a run on other ``features``,
-    ``detections`` or ``provider`` objects than its first; it cannot see
-    one of them changed in place.
+    ``detections`` or ``provider`` objects than its first. Features and
+    detections are immutable; a provider changed in place goes unseen.
     """
     memo = {} if memo is None else memo
     inputs = (features, detections, provider)

@@ -144,8 +144,11 @@ class FileSimilarityProvider(SimilarityProvider):
 class ExactMatchProvider(SimilarityProvider):
     """Degenerate provider: every tag is its own single meaning.
 
-    Useful default when no lexical database export is available; the
-    vocabulary then falls back to one cluster per distinct tag.
+    Useful default when no lexical database export is available. While
+    ``vocab_size`` is at least the number of distinct tags, the vocabulary
+    then falls back to one cluster per distinct tag. Past that, the tag
+    graph is all zero and its spectral clusters are arbitrary (ROADMAP.md,
+    item 3).
     """
 
     def meanings(self, tag: str) -> list[str]:

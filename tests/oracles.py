@@ -7,10 +7,10 @@ monotone labelings. Keep these naive; their value is that they share no
 shortcuts with the library.
 
 The loop references for the chain minimiser (``per_pair_labeling_energy``,
-``prefix_scan_chain_optimum``, ``per_pair_icm_refine``) are the exception:
-they call the library's own pair-energy primitives, because they pin its
-labels and energies bit for bit rather than check the optimum, which the
-exhaustive enumeration does. So are the inline unit-row forms and the
+``prefix_scan_chain_optimum``) are the exception: they call the library's
+own pair-energy primitives, because they pin its radius-1 labels and its
+energies bit for bit rather than check the optimum, which the exhaustive
+enumeration does at every radius. So are the inline unit-row forms and the
 tree-walking dendrogram cut below, kept verbatim from before the library
 shared one ``unit_rows`` helper and cut through connected components,
 the BLAS scalar cosine from before every cosine went through it, and the
@@ -449,46 +449,6 @@ def prefix_scan_chain_optimum(mixed, stream, params):
     labels[-1] = int(np.argmin(cost))
     for i in range(n - 1, 0, -1):
         labels[i - 1] = back[i, labels[i]]
-    return labels
-
-
-def per_pair_icm_refine(labels, mixed, stream, params, max_sweeps=50):
-    """ICM with one ``pairwise_energy`` call per scored pair; the labels
-    ``graphcut._icm_refine`` must give."""
-    labels = labels.copy()
-    n = labels.shape[0]
-    sizes = _neighbor_sizes(n, params.radius)
-
-    def local_energy(i: int, cand: int) -> float:
-        e = float(mixed[i, cand])
-        lo = max(0, i - params.radius)
-        hi = min(n - 1, i + params.radius)
-        for j in range(lo, hi + 1):
-            if j != i and labels[j] != cand:
-                e += params.pairwise_weight * pairwise_energy(stream[i], stream[j]) \
-                    * (1.0 / sizes[i] + 1.0 / sizes[j])
-        return e
-
-    for _ in range(max_sweeps):
-        changed = False
-        for i in range(n):
-            lo = int(labels[i - 1]) if i > 0 else 0
-            hi = int(labels[i + 1]) if i < n - 1 else mixed.shape[1] - 1
-            if lo == hi:
-                continue
-            best_label = int(labels[i])
-            best_energy = local_energy(i, best_label)
-            for cand in range(lo, hi + 1):
-                if cand == labels[i]:
-                    continue
-                e = local_energy(i, cand)
-                if e < best_energy - 1e-12:
-                    best_label, best_energy = cand, e
-            if best_label != labels[i]:
-                labels[i] = best_label
-                changed = True
-        if not changed:
-            break
     return labels
 
 

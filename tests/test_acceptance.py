@@ -174,20 +174,21 @@ def test_criterion_5_graphcut_exactness():
         stream = rng.normal(size=(n, 3))
         ls = build_label_space(seg_ac, seg_adw, stream)
         assert ls.num_labels <= 4
-        params = GcParams(unary_mix=float(rng.uniform(0, 1)),
-                          pairwise_weight=float(rng.uniform(0, 1)), radius=1)
-        u_ac, u_adw = unary_energies(ls, stream, params)
-        mixed = (1.0 - params.unary_mix) * u_ac + params.unary_mix * u_adw
+        mix, weight = float(rng.uniform(0, 1)), float(rng.uniform(0, 1))
+        # the chain minimiser is exact at every radius
+        for radius in (1, 2, 3):
+            params = GcParams(unary_mix=mix, pairwise_weight=weight, radius=radius)
+            u_ac, u_adw = unary_energies(ls, stream, params)
+            mixed = (1.0 - params.unary_mix) * u_ac + params.unary_mix * u_adw
 
-        labels = minimize_labels(ls, u_ac, u_adw, stream, params)
-        got = labeling_energy(labels, u_ac, u_adw, stream, params)
-        want, _ = brute_force_min_labeling(mixed, stream, params.pairwise_weight,
-                                           radius=1)
-        assert got == pytest.approx(want, abs=1e-9)
+            labels = minimize_labels(ls, u_ac, u_adw, stream, params)
+            got = labeling_energy(labels, u_ac, u_adw, stream, params)
+            want, _ = brute_force_min_labeling(mixed, stream, weight, radius)
+            assert got == pytest.approx(want, abs=1e-9)
 
-        for cand in (seg_ac, seg_adw):
-            cand_labels = labeling_from_segmentation(cand, ls)
-            assert got <= labeling_energy(cand_labels, u_ac, u_adw, stream, params) + 1e-9
+            for cand in (seg_ac, seg_adw):
+                cand_labels = labeling_from_segmentation(cand, ls)
+                assert got <= labeling_energy(cand_labels, u_ac, u_adw, stream, params) + 1e-9
 
     _report(5, "chain energy exactness", start, 20)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -50,6 +51,21 @@ class TestSegmentation:
     def test_from_labels_roundtrip(self):
         seg = Segmentation.from_labels([5, 5, 2, 2, 2, 9])
         assert seg.starts == (0, 2, 5)
+
+    def test_labels_and_from_labels_match_loop_definitions(self):
+        rng = np.random.default_rng(17)
+        for case in range(300):
+            n = 1 if case % 10 == 0 else int(rng.integers(2, 40))
+            lab = np.sort(rng.integers(0, 1 + case % 7, size=n)) if case % 2 else \
+                rng.integers(-3, 3, size=n)
+            starts = [0] + [i for i in range(1, n) if lab[i] != lab[i - 1]]
+            seg = Segmentation.from_labels(lab)
+            assert seg.starts == tuple(starts)
+            want = np.zeros(n, dtype=np.int64)
+            for k, s in enumerate(seg.starts):
+                want[s:] = k
+            got = seg.labels()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @given(segmentations())
     @settings(max_examples=200, deadline=None)
@@ -150,6 +166,30 @@ class TestFeatureStreamIO:
         loaded = load_feature_stream(path, format="jsonl")
         np.testing.assert_array_equal(loaded.contextual, stream.contextual)
         assert loaded.ids == ("img0", "img1")
+
+    def test_contextual_is_a_read_only_copy(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        stream = FeatureStream(rows)
+        assert not stream.contextual.flags.writeable
+        with pytest.raises(ValueError):
+            stream.contextual[0, 0] = 9.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stream.contextual = rows
+        rows[0, 0] = 9.0
+        assert rows.flags.writeable and stream.contextual[0, 0] == 1.0
+        ints = FeatureStream(np.array([[1, 2]]))
+        assert ints.contextual.dtype == np.float64
+
+    @pytest.mark.parametrize("direction", ["load", "save"])
+    def test_json_lines_alias_rejected(self, tmp_path, direction):
+        path = tmp_path / "feat.jsonl"
+        stream = FeatureStream(np.array([[0.5, 1.0]]))
+        save_feature_stream(stream, path, format="jsonl")
+        with pytest.raises(ValidationError, match="unknown feature format 'json-lines'"):
+            if direction == "load":
+                load_feature_stream(path, format="json-lines")
+            else:
+                save_feature_stream(stream, path, format="json-lines")
 
     def test_ids_must_match_rows(self):
         with pytest.raises(ValidationError, match="ids"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,13 @@ def test_evaluate_pair_combines_all_fields():
     assert report.fmeasure == 1.0
     assert report.gce is not None and report.lce is not None
     assert report.lce <= report.gce
+
+
+def test_reports_are_immutable():
+    report = evaluate_pair(Segmentation(20, (0, 8)), Segmentation(20, (0, 9)))
+    for field in ("fmeasure", "gce", "lce"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, field, 0.0)
 
 
 def test_macro_fmeasure():

@@ -8,7 +8,6 @@ from photoseg.graphcut import (
     GcParams,
     _centroid_similarities,
     _chain_optimum,
-    _icm_refine,
     _pair_energies,
     build_label_space,
     labeling_energy,
@@ -24,7 +23,6 @@ from oracles import (
     brute_force_min_labeling,
     inline_adjacent_energies,
     inline_centroid_similarities,
-    per_pair_icm_refine,
     per_pair_labeling_energy,
     prefix_scan_chain_optimum,
 )
@@ -129,16 +127,35 @@ class TestPairwiseEnergy:
 class TestMinimize:
     def test_dp_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(11)
-        for _ in range(60):
+        for case in range(180):
+            radius = 1 + case % 3
             mixed, stream = random_instance(rng)
             w2 = float(rng.uniform(0, 1))
-            params = GcParams(unary_mix=0.0, pairwise_weight=w2, radius=1)
+            params = GcParams(unary_mix=0.0, pairwise_weight=w2, radius=radius)
             # feed the mixed table as the ac unary so the mix is identity
             labels = minimize_labels(_fake_ls(mixed, stream), mixed,
                                      np.zeros_like(mixed), stream, params)
             got = labeling_energy(labels, mixed, np.zeros_like(mixed), stream, params)
-            want, _ = brute_force_min_labeling(mixed, stream, w2, radius=1)
+            want, _ = brute_force_min_labeling(mixed, stream, w2, radius)
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_radius_2_optimum_beyond_single_frame_moves(self):
+        # the radius-1 optimum is [0, 0, 0]; at radius 2, [0, 1, 1] is lower,
+        # but no single monotone frame move from [0, 0, 0] lowers the
+        # energy: frame 1 is held at 0 by frame 2, and [0, 0, 1] is higher
+        mixed = np.array([[0.0, 2.0], [3.0, 2.0], [0.0, 0.0]])
+        stream = np.array([[1.0, -1.0], [0.0, -1.0], [-1.0, 1.0]])
+        zeros = np.zeros_like(mixed)
+        for radius, want in ((1, [0, 0, 0]), (2, [0, 1, 1])):
+            params = GcParams(unary_mix=0.0, pairwise_weight=1.0, radius=radius)
+            labels = minimize_labels(_fake_ls(mixed, stream), mixed, zeros, stream, params)
+            assert labels.tolist() == want
+            want_energy, _ = brute_force_min_labeling(mixed, stream, 1.0, radius)
+            got = labeling_energy(labels, mixed, zeros, stream, params)
+            assert got == pytest.approx(want_energy, abs=1e-12)
+        p2 = GcParams(unary_mix=0.0, pairwise_weight=1.0, radius=2)
+        assert labeling_energy([0, 0, 1], mixed, zeros, stream, p2) > \
+            labeling_energy([0, 0, 0], mixed, zeros, stream, p2)
 
     def test_unaries_only_argmin_with_monotone_constraint(self):
         # crafted so per-frame argmin is itself monotone, then the DP must
@@ -210,7 +227,7 @@ class TestMinimize:
             got = labeling_energy(labels, u_ac, u_adw, stream, params)
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_icm_radius_2_not_worse_than_its_start(self):
+    def test_radius_2_not_worse_than_radius_1_optimum(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             n = int(rng.integers(4, 9))
@@ -302,14 +319,9 @@ class TestAgainstLoopReferences:
             chain = _chain_optimum(mixed, stream, chain_params)
             np.testing.assert_array_equal(
                 chain, prefix_scan_chain_optimum(mixed, stream, chain_params))
-            # ICM from the chain optimum, as minimize_labels runs it, and
-            # from a random monotone start, which moves more frames
             start = np.sort(rng.integers(0, mixed.shape[1], size=mixed.shape[0]))
-            for labels in (chain, start):
-                np.testing.assert_array_equal(
-                    _icm_refine(labels, mixed, stream, params),
-                    per_pair_icm_refine(labels, mixed, stream, params))
-                zeros = np.zeros_like(mixed)
+            zeros = np.zeros_like(mixed)
+            for labels in (chain, _chain_optimum(mixed, stream, params), start):
                 assert labeling_energy(labels, mixed, zeros, stream, params) == \
                     per_pair_labeling_energy(labels, mixed, zeros, stream, params)
 

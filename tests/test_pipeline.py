@@ -331,6 +331,18 @@ class TestGridSearchReuse:
             run_pipeline(stream, det, provider=ExactMatchProvider(), memo=memo)
         run_pipeline(stream, det, PipelineConfig().override(cutoff=0.7), memo=memo)
 
+    def test_memo_unchanged_by_writes_to_the_callers_rows(self, reuse_day):
+        stream, det, _ = reuse_day
+        rows = stream.contextual.copy()
+        features = FeatureStream(rows)
+        memo = {}
+        first = run_pipeline(features, det, memo=memo)
+        rows[:] = np.random.default_rng(0).normal(size=rows.shape)
+        again = run_pipeline(features, det, memo=memo)
+        fresh = run_pipeline(features, det)
+        assert again.seg_ac == first.seg_ac == fresh.seg_ac
+        assert again.fused.tobytes() == first.fused.tobytes() == fresh.fused.tobytes()
+
     def test_nested_keys_leave_fused_unchanged(self, reuse_day):
         # the memo keys candidates on the top-level config values alone,
         # which holds only while no nested value reaches the fused matrix
