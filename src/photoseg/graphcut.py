@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_softmax
 
 from .agglo import cosine_distance
 from .datamodel import Segmentation, ValidationError
@@ -104,6 +103,20 @@ def build_label_space(seg_ac: Segmentation, seg_adw: Segmentation,
     )
 
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax, bit for bit ``scipy.special.log_softmax(x, axis=1)``.
+
+    Each row is shifted by its maximum (by 0 where that is not finite), so
+    large logits cannot overflow ``exp``.
+    """
+    top = np.amax(x, axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0
+    shifted = x - top
+    with np.errstate(divide="ignore"):
+        shifted -= np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    return shifted
+
+
 def _centroid_similarities(stream: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return unit_rows(stream) @ unit_rows(centroids).T
 
@@ -120,7 +133,7 @@ def unary_energies(ls: LabelSpace, stream: np.ndarray,
     out = []
     for centroids in (ls.centroids_ac, ls.centroids_adw):
         sims = _centroid_similarities(rows, centroids)
-        out.append(-log_softmax(sims / params.softmax_temp, axis=1))
+        out.append(-_log_softmax(sims / params.softmax_temp))
     return out[0], out[1]
 
 

@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .datamodel import ConceptDetections, ValidationError, read_json_object
 from .fusion import unit_rows
@@ -437,22 +436,46 @@ def smooth_temporal(matrix: np.ndarray, bandwidth: float = 3.0) -> np.ndarray:
 
     Discrete Gaussian of standard deviation ``bandwidth`` frames, truncated
     at 3 bandwidths and renormalized at the sequence ends so a constant
-    column passes through unchanged. Output is clamped to [0, 1].
+    column passes through unchanged. Output is clamped to [0, 1]. A
+    bandwidth that is not finite and positive, or a NaN or inf entry,
+    raises :class:`ValidationError`.
     """
-    if bandwidth <= 0:
-        raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
+    if not (np.isfinite(bandwidth) and bandwidth > 0):
+        raise ValidationError(f"bandwidth must be positive and finite, got {bandwidth}")
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValidationError("expected an (n, concepts) matrix")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix entries must be finite")
     n = m.shape[0]
     radius = int(np.ceil(3.0 * bandwidth))
     offsets = np.arange(-radius, radius + 1)
     kernel = np.exp(-0.5 * (offsets / bandwidth) ** 2)
     kernel /= kernel.sum()
-    smoothed = convolve1d(m, kernel, axis=0, mode="constant", cval=0.0)
-    coverage = convolve1d(np.ones(n), kernel, mode="constant", cval=0.0)
-    smoothed /= coverage[:, None]
+    smoothed = _symmetric_smooth(m, kernel)
+    smoothed /= _symmetric_smooth(np.ones(n), kernel)[:, None]
     return np.clip(smoothed, 0.0, 1.0)
+
+
+def _symmetric_smooth(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Correlate ``values`` along axis 0 with an odd, exactly symmetric
+    ``kernel``, zeros beyond both ends.
+
+    Bit for bit ``scipy.ndimage.convolve1d(values, kernel, axis=0,
+    mode="constant")``: the centre term first, then each mirrored pair
+    summed before weighting, outermost pair first.
+    """
+    r = kernel.size // 2
+    n = values.shape[0]
+    pad = np.zeros((n + 2 * r,) + values.shape[1:])
+    pad[r:r + n] = values
+    out = pad[r:r + n] * kernel[r]
+    pair = np.empty_like(out)
+    for j in range(r, 0, -1):
+        np.add(pad[r - j:r - j + n], pad[r + j:r + j + n], out=pair)
+        pair *= kernel[r + j]
+        out += pair
+    return out
 
 
 def prune_low_variance(matrix: np.ndarray, threshold: float = 0.05

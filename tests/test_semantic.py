@@ -371,6 +371,18 @@ class TestSmoothTemporal:
         out = smooth_temporal(m, 1.5)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_bad_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ValidationError, match="bandwidth"):
+            smooth_temporal(np.full((5, 2), 0.5), bandwidth)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        m = np.full((5, 2), 0.5)
+        m[3, 1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            smooth_temporal(m, 1.0)
+
 
 class TestPruneLowVariance:
     def test_constant_column_pruned(self):
