@@ -56,10 +56,14 @@ def epsilon_cut(m: float | np.ndarray, dim: int, delta_prime: float, p: int):
     infinite and the split simply cannot fire.
     """
     m = np.asarray(m, dtype=np.float64)
-    log_term = math.log(4.0 / (dim * delta_prime))
+    log_term = _log_term(dim, delta_prime)
     if log_term <= 0.0:
         return np.full(np.shape(m), np.inf)
     return dim ** (1.0 / p) * np.sqrt(log_term / (2.0 * m))
+
+
+def _log_term(dim: int, delta_prime: float) -> float:
+    return math.log(4.0 / (dim * delta_prime))
 
 
 def _best_split(prefix: np.ndarray, dim: int, params: AdwinParams):
@@ -69,11 +73,13 @@ def _best_split(prefix: np.ndarray, dim: int, params: AdwinParams):
     When several splits exceed their threshold the one with the most
     evidence (largest gap minus threshold, earliest on ties) wins;
     this pins the boundary to the sharpest mean shift instead of the
-    oldest split that barely clears the bound.
+    oldest split that barely clears the bound. A window whose bound is
+    vacuous (every threshold infinite, see :func:`epsilon_cut`) returns
+    None before any array work, since the gaps of [0, 1] data are finite.
     """
     ms = params.min_subwindow
     w = prefix.shape[0]
-    if w < 2 * ms:
+    if w < 2 * ms or _log_term(dim, params.delta / w) <= 0.0:
         return None
     p = params.p
     splits = np.arange(ms, w - ms + 1)

@@ -9,7 +9,8 @@ The closest pair is found from cached nearest-neighbour candidates, the
 "generic" scheme of Muellner, "Modern hierarchical, agglomerative
 clustering algorithms" (arXiv:1109.2378, section 3). The work matrix
 has one row and one column per live cluster, n x n floats for the whole
-run: when nodes i < j merge, the new node takes i's slot and j's slot
+run, and :func:`cluster_frames` builds it in the distance matrix's own
+buffer: when nodes i < j merge, the new node takes i's slot and j's slot
 is retired. Node ``a``'s row keeps the distances to higher-numbered live
 nodes only, together with their minimum and a node attaining it; the new
 node outnumbers every live node, so its distances fill its slot's column
@@ -114,7 +115,8 @@ def _lw_update(linkage: str, d_ki: np.ndarray, d_kj: np.ndarray, d_ij: float,
     raise ValidationError(f"unknown linkage {linkage!r}")
 
 
-def linkage_merge_sequence(dist: np.ndarray, linkage: str) -> np.ndarray:
+def linkage_merge_sequence(dist: np.ndarray, linkage: str, *,
+                           overwrite_dist: bool = False) -> np.ndarray:
     """Agglomerate a precomputed distance matrix into a merge table.
 
     ``dist`` is a symmetric (n, n) matrix; only its upper triangle is read.
@@ -122,17 +124,22 @@ def linkage_merge_sequence(dist: np.ndarray, linkage: str) -> np.ndarray:
     with leaves numbered 0..n-1 and the i-th merge creating node n+i.
     When several pairs tie at the minimum distance, the lexicographically
     smallest (node_a, node_b) pair merges first.
+
+    By default ``dist`` is left as it is, and the work matrix is a copy.
+    With ``overwrite_dist`` a C-ordered float64 ``dist``, which must then
+    be writeable, becomes the work matrix itself. That saves n x n floats,
+    and leaves ``dist``'s contents undefined.
     """
-    d0 = np.asarray(dist, dtype=np.float64)
-    n = d0.shape[0]
+    work = np.array(dist, dtype=np.float64, order="C",
+                    copy=None if overwrite_dist else True)
+    n = work.shape[0]
     if n == 1:
         return np.zeros((0, 4))
     total = 2 * n - 1
     # work[pos[a], pos[b]] for live a < b is the distance between a and b;
     # every other entry a live row can read is inf
-    work = np.full((n, n), np.inf)
-    for k in range(n - 1):
-        work[k, k + 1:] = d0[k, k + 1:]
+    for k in range(n):
+        work[k, :k + 1] = np.inf
     pos = np.arange(total)                      # node id -> slot, read for live nodes
     ids = np.arange(n)                          # slot -> node id
     nd = np.full(total, np.inf)                 # row minimum over live columns
@@ -244,7 +251,8 @@ def cluster_frames(stream: np.ndarray, params: AggloParams) -> Segmentation:
     n = rows.shape[0]
     if n == 1:
         return Segmentation(1, (0,))
-    dist = cosine_distance_matrix(rows)
-    merges = linkage_merge_sequence(dist, params.linkage)
+    # the distances are needed only as the merge loop's work matrix
+    merges = linkage_merge_sequence(cosine_distance_matrix(rows), params.linkage,
+                                    overwrite_dist=True)
     labels = cut_merge_sequence(merges, n, params.cutoff)
     return Segmentation.from_labels(labels)

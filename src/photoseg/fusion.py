@@ -13,6 +13,10 @@ import numpy as np
 
 from .datamodel import ValidationError
 
+# rows per block of a row-wise pass, so its temporaries stay at
+# BLOCK_ROWS x width floats however long the stream
+BLOCK_ROWS = 128
+
 
 def signed_root_normalize(x: np.ndarray) -> np.ndarray:
     """Elementwise sign(x) * sqrt(|x|), then L2 normalization.
@@ -28,16 +32,21 @@ def signed_root_normalize(x: np.ndarray) -> np.ndarray:
 
 
 def unit_rows(m: np.ndarray) -> np.ndarray:
-    """``m``'s rows scaled to unit L2 norm; the one norm in the package.
+    """``m``'s rows scaled to unit L2 norm, as a new C-ordered float64
+    matrix; the one norm in the package.
 
     Rows of norm 0 are copied unchanged (so a ``-0.0`` entry keeps its
     sign), and their products with any unit row are 0, which is how every
-    cosine here gives zero vectors similarity 0.
+    cosine here gives zero vectors similarity 0. The norms are
+    ``np.linalg.norm``'s arithmetic on the C-ordered rows, taken
+    ``BLOCK_ROWS`` rows at a time, so the only whole-matrix array is the
+    returned one.
     """
-    norms = np.linalg.norm(m, axis=1)
-    out = m.copy()
-    nz = norms > 0
-    out[nz] = out[nz] / norms[nz, None]
+    out = np.array(m, dtype=np.float64, order="C")
+    for lo in range(0, out.shape[0], BLOCK_ROWS):
+        block = out[lo:lo + BLOCK_ROWS]
+        norms = np.sqrt(np.add.reduce(block * block, axis=1))[:, None]
+        np.divide(block, norms, out=block, where=norms > 0)
     return out
 
 

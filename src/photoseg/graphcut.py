@@ -24,7 +24,7 @@ import numpy as np
 
 from .agglo import cosine_distance
 from .datamodel import Segmentation, ValidationError
-from .fusion import unit_rows
+from .fusion import BLOCK_ROWS, unit_rows
 
 
 @dataclass(frozen=True)
@@ -103,22 +103,23 @@ def build_label_space(seg_ac: Segmentation, seg_adw: Segmentation,
     )
 
 
-def _log_softmax(x: np.ndarray) -> np.ndarray:
+def _log_softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise log softmax, bit for bit ``scipy.special.log_softmax(x, axis=1)``.
 
     Each row is shifted by its maximum (by 0 where that is not finite), so
-    large logits cannot overflow ``exp``.
+    large logits cannot overflow ``exp``. The result goes to ``out``
+    (which may be ``x``) or to a new array, and the rows are taken
+    ``BLOCK_ROWS`` at a time, so the temporaries stay that small.
     """
-    top = np.amax(x, axis=1, keepdims=True)
-    top[~np.isfinite(top)] = 0
-    shifted = x - top
-    with np.errstate(divide="ignore"):
-        shifted -= np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    return shifted
-
-
-def _centroid_similarities(stream: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return unit_rows(stream) @ unit_rows(centroids).T
+    out = np.empty_like(x) if out is None else out
+    for lo in range(0, x.shape[0], BLOCK_ROWS):
+        block, shifted = x[lo:lo + BLOCK_ROWS], out[lo:lo + BLOCK_ROWS]
+        top = np.amax(block, axis=1, keepdims=True)
+        top[~np.isfinite(top)] = 0
+        np.subtract(block, top, out=shifted)
+        with np.errstate(divide="ignore"):
+            shifted -= np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    return out
 
 
 def unary_energies(ls: LabelSpace, stream: np.ndarray,
@@ -127,13 +128,16 @@ def unary_energies(ls: LabelSpace, stream: np.ndarray,
 
     Likelihoods are a temperature softmax over cosine similarity between
     the frame and each label's candidate-segment centroid. Both returned
-    (n, L) tables are finite.
+    (n, L) tables are finite. Each table is computed in place in the
+    similarity matrix, the arithmetic of ``-_log_softmax(sims / temp)``.
     """
-    rows = np.asarray(stream, dtype=np.float64)
+    unit = unit_rows(stream)
     out = []
     for centroids in (ls.centroids_ac, ls.centroids_adw):
-        sims = _centroid_similarities(rows, centroids)
-        out.append(-_log_softmax(sims / params.softmax_temp))
+        table = unit @ unit_rows(centroids).T
+        table /= params.softmax_temp
+        np.negative(_log_softmax(table, out=table), out=table)
+        out.append(table)
     return out[0], out[1]
 
 
@@ -152,18 +156,32 @@ def _pair_energies(stream: np.ndarray, radius: int) -> np.ndarray:
     """``out[i, radius + d] = pairwise_energy(stream[i], stream[i + d])`` for
     every ``0 < |d| <= radius`` inside the stream; other entries are 0.
 
-    The rows are unit-scaled once and each band of products is summed row
-    by row, the arithmetic :func:`pairwise_energy` does on one pair, so the
-    values are bit-identical to per-pair calls. Each pair is stored in both
+    The rows are unit-scaled and each band of products is summed row by
+    row, the arithmetic :func:`pairwise_energy` does on one pair, so the
+    values are bit-identical to per-pair calls. This goes ``BLOCK_ROWS``
+    frames at a time, each block with the ``radius`` frames after it, so
+    no temporary holds the whole stream. Each pair is stored in both
     directions (the elementwise product commutes exactly).
     """
     n = stream.shape[0]
-    unit = unit_rows(stream)
     out = np.zeros((n, 2 * radius + 1))
-    for d in range(1, min(radius, n - 1) + 1):
-        out[:-d, radius + d] = out[d:, radius - d] = \
-            np.exp(-(1.0 - (unit[:-d] * unit[d:]).sum(axis=1)))
+    for lo in range(0, n - 1, BLOCK_ROWS):
+        unit = unit_rows(stream[lo:lo + BLOCK_ROWS + radius])
+        for d in range(1, min(radius, unit.shape[0] - 1) + 1):
+            # the pairs (i, i + d) for the block's frames i that have one
+            m = min(BLOCK_ROWS, unit.shape[0] - d)
+            out[lo:lo + m, radius + d] = out[lo + d:lo + d + m, radius - d] = \
+                np.exp(-(1.0 - (unit[:m] * unit[d:d + m]).sum(axis=1)))
     return out
+
+
+def _mixed_unary(unary_ac: np.ndarray, unary_adw: np.ndarray, mix: float) -> np.ndarray:
+    """``(1 - mix) * unary_ac + mix * unary_adw`` in one new table: the
+    second product is added ``BLOCK_ROWS`` rows at a time."""
+    mixed = np.multiply(unary_ac, 1.0 - mix)
+    for lo in range(0, mixed.shape[0], BLOCK_ROWS):
+        mixed[lo:lo + BLOCK_ROWS] += mix * unary_adw[lo:lo + BLOCK_ROWS]
+    return mixed
 
 
 def labeling_energy(labels: np.ndarray, unary_ac: np.ndarray, unary_adw: np.ndarray,
@@ -172,7 +190,7 @@ def labeling_energy(labels: np.ndarray, unary_ac: np.ndarray, unary_adw: np.ndar
     pairwise cost over every disagreeing pair within the radius."""
     labels = np.asarray(labels)
     n = labels.shape[0]
-    mixed = (1.0 - params.unary_mix) * unary_ac + params.unary_mix * unary_adw
+    mixed = _mixed_unary(unary_ac, unary_adw, params.unary_mix)
     total = float(mixed[np.arange(n), labels].sum())
     if params.pairwise_weight == 0.0 or n == 1:
         return total
@@ -223,29 +241,25 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> n
     # each label's best state; at radius 1, its only one
     best = cost[0] if r == 1 else np.empty(num_labels)
     prefix_best = np.empty(num_labels - 1)
-    new_min = np.ones(num_labels - 1, dtype=bool)
-    source_idx = np.arange(num_labels - 1)
-    source = np.empty(num_labels - 1, dtype=np.int64)
     cost_young, cost_old = cost[:-1], cost[-1]
     cand_aged, cand_old, cand_switch = cand[1:], cand[-1], cand[0, 1:]
     pay_switch, pay_aged = pay[:, 0].tolist(), pay[:, 1:, None]
-    # per frame: the state a switch into each label comes from, and
-    # whether the absorbing state stayed
-    back_label = np.zeros((n, num_labels), dtype=np.int64)
-    back_age = np.zeros((n, num_labels), dtype=np.intp)
+    # per frame: which labels hold a strict new minimum of the best
+    # states below the next label (label 0 always does), the best age of
+    # each label (at radius 1, always 0), and whether the absorbing
+    # state stayed
+    new_min = np.empty((n, num_labels - 1), dtype=bool)
+    new_min[:, :1] = True
+    back_age = np.zeros((n, num_labels), dtype=np.intp) if r > 1 else None
     stay = np.zeros((n, num_labels), dtype=bool)
     for t in range(1, n):
         if r > 1:
             cost.argmin(axis=0, out=back_age[t])
             cost.min(axis=0, out=best)
             np.add(cost_young, pay_aged[t], out=cand_aged)
-        # a switch into label l comes from the best state below l, and
-        # from the first label attaining that prefix minimum: the last
-        # strict new minimum at or below it
+        # a switch into label l comes from the best state below l
         np.minimum.accumulate(best[:-1], out=prefix_best)
-        np.less(best[1:-1], prefix_best[:-1], out=new_min[1:])
-        np.multiply(new_min, source_idx, out=source)
-        np.maximum.accumulate(source, out=back_label[t, 1:])
+        np.less(best[1:-1], prefix_best[:-1], out=new_min[t, 1:])
         # label 0 has no label below it to switch from (at radius 1 the
         # stay below writes this row)
         cand[0, 0] = np.inf
@@ -254,8 +268,10 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> n
         np.copyto(cand_old, cost_old, where=stay[t])
         np.add(cand, mixed[t], out=cost)
 
-    # walk back: an absorbing state that stayed kept its state, age 0 came
-    # from a switch, and any other age from the age below it
+    # walk back: an absorbing state that stayed kept its state, and any
+    # other age came from the age below it, or at age 0 from a switch.
+    # A switch into a label comes from the first label attaining the
+    # prefix minimum below it: the last strict new minimum below it.
     labels = np.zeros(n, dtype=np.int64)
     age, label = divmod(int(np.argmin(cost)), num_labels)
     for t in range(n - 1, 0, -1):
@@ -263,8 +279,8 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> n
         if age == r - 1 and stay[t, label]:
             continue
         if age == 0:
-            label = int(back_label[t, label])
-            age = int(back_age[t, label])
+            label = int(np.flatnonzero(new_min[t, :label])[-1])
+            age = int(back_age[t, label]) if r > 1 else 0
         else:
             age -= 1
     labels[0] = label
@@ -284,8 +300,7 @@ def minimize_labels(ls: LabelSpace, unary_ac: np.ndarray, unary_adw: np.ndarray,
         raise ValidationError("unary tables must be (n, num_labels)")
     if not (np.isfinite(unary_ac).all() and np.isfinite(unary_adw).all()):
         raise ValidationError("unary tables must be finite")
-    mixed = (1.0 - params.unary_mix) * unary_ac + params.unary_mix * unary_adw
-    return _chain_optimum(mixed, rows, params)
+    return _chain_optimum(_mixed_unary(unary_ac, unary_adw, params.unary_mix), rows, params)
 
 
 def minimize(ls: LabelSpace, unary_ac: np.ndarray, unary_adw: np.ndarray,

@@ -270,12 +270,15 @@ def run_pipeline(features: FeatureStream,
         smoothed = _stage("smoothing", smooth_temporal, raw, config.bandwidth)
         semantic_matrix, kept = _stage("pruning", prune_low_variance, smoothed,
                                        config.variance_threshold)
+        del raw, smoothed
     else:
         semantic_matrix = np.zeros((n, 0))
         kept = []
 
     contextual = _stage("fusion", signed_root_normalize, features.contextual)
     fused = _stage("fusion", fuse, contextual, semantic_matrix, config.blend)
+    # nothing below reads the blocks fusion consumed
+    del contextual
 
     # every top-level value but the grid; a new one only adds misses
     key = tuple(getattr(config, name) for name, (_, part) in config_keys().items()

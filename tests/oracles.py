@@ -13,7 +13,8 @@ energies bit for bit rather than check the optimum, which the exhaustive
 enumeration does at every radius. So are the inline unit-row forms and the
 tree-walking dendrogram cut below, kept verbatim from before the library
 shared one ``unit_rows`` helper and cut through connected components,
-the BLAS scalar cosine from before every cosine went through it, and the
+that helper's own form from before it took its norms in row blocks, the
+BLAS scalar cosine from before every cosine went through it, and the
 triangle-layout merge loop from before merged nodes' slots were reused
 (it shares the library's Lance-Williams update): the tests compare the
 library's bytes, partitions and values against them.
@@ -329,8 +330,20 @@ def _recursive_linkage(linkage, current, a, b, k, na, nb, nk, dab):
 
 # ---------------------------------------------------------- chain labeling
 
+def norm_unit_rows(m: np.ndarray) -> np.ndarray:
+    """``fusion.unit_rows`` as it was before it took its norms in row
+    blocks: ``np.linalg.norm`` over the whole matrix, then a masked
+    division of a copy."""
+    norms = np.linalg.norm(m, axis=1)
+    out = m.copy()
+    nz = norms > 0
+    out[nz] = out[nz] / norms[nz, None]
+    return out
+
+
 def inline_centroid_similarities(stream: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """``graphcut._centroid_similarities`` with its own unit-row code."""
+    """The similarities ``graphcut.unary_energies`` softmaxes, with its
+    own unit-row code."""
     def unit(m):
         norms = np.linalg.norm(m, axis=1)
         out = np.zeros_like(m)
@@ -342,7 +355,8 @@ def inline_centroid_similarities(stream: np.ndarray, centroids: np.ndarray) -> n
 
 
 def inline_adjacent_energies(stream: np.ndarray) -> np.ndarray:
-    """``graphcut._adjacent_energies`` with its own unit-row code."""
+    """The radius-1 band of ``graphcut._pair_energies`` with its own
+    unit-row code."""
     unit = stream / np.where(
         np.linalg.norm(stream, axis=1, keepdims=True) > 0,
         np.linalg.norm(stream, axis=1, keepdims=True), 1.0)

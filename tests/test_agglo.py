@@ -176,6 +176,33 @@ class TestMergeSequence:
             tracemalloc.stop()
         assert peak < 3 * n * n * 8
 
+    def test_overwrite_dist_gives_the_same_bytes(self):
+        rng = np.random.default_rng(47)
+        cases = [*_oracle_inputs(rng, 60, n_max=32),
+                 *_oracle_inputs(rng, 1, n_max=300, n_min=300)]
+        for trial, rows in cases:
+            dist = cosine_distance_matrix(rows)
+            before = dist.copy()
+            for linkage in LINKAGES:
+                want = triangle_merge_sequence(dist, linkage).tobytes()
+                assert linkage_merge_sequence(dist, linkage).tobytes() == want
+                # the default never writes its input
+                assert dist.tobytes() == before.tobytes()
+                got = linkage_merge_sequence(dist.copy(), linkage, overwrite_dist=True)
+                assert got.tobytes() == want, f"{linkage}, trial {trial}"
+
+    def test_cluster_frames_works_in_the_distance_buffer(self):
+        # the distances and one copy of them would be ~2 n^2 floats
+        n = 500
+        rows = np.random.default_rng(5).normal(size=(n, 16))
+        tracemalloc.start()
+        try:
+            cluster_frames(rows, AggloParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
     def test_tie_break_prefers_lowest_pair(self):
         # four identical points: all pairs at distance 0
         rows = np.tile([1.0, 2.0], (4, 1))

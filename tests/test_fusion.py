@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from photoseg.datamodel import ValidationError
-from photoseg.fusion import fuse, signed_root_normalize
+from photoseg.fusion import BLOCK_ROWS, fuse, signed_root_normalize, unit_rows
+
+from oracles import norm_unit_rows
 
 # 2 / sqrt(8), by hand
 ROOT_HALF = 0.7071067811865476
@@ -74,3 +76,35 @@ class TestFuse:
             unit = m / np.linalg.norm(m, axis=1, keepdims=True)
             return unit @ unit.T
         np.testing.assert_allclose(cosines(a), cosines(b), atol=1e-12)
+
+
+class TestUnitRows:
+    def test_bitwise_equal_to_whole_matrix_norm_form(self):
+        rng = np.random.default_rng(37)
+        for n in (1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1):
+            for d in (1, 7, 9, 130, 316):
+                m = rng.normal(size=(n, d))
+                m[rng.random(n) < 0.2] = 0.0
+                m[rng.random(n) < 0.2] = -0.0
+                m[rng.random(n) < 0.2] *= 1e150
+                m[rng.random(n) < 0.2] *= 1e-150
+                # a column slice is how the spectral embedding calls it
+                for rows in (m, m[:, : max(1, d // 2)]):
+                    got = unit_rows(rows)
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == norm_unit_rows(rows).tobytes(), (n, d)
+
+    def test_any_layout_gives_the_c_ordered_result(self):
+        m = np.random.default_rng(41).normal(size=(BLOCK_ROWS + 1, 16))
+        assert unit_rows(np.asfortranarray(m)).tobytes() == unit_rows(m).tobytes()
+
+    def test_integer_rows_become_unit_floats(self):
+        got = unit_rows(np.array([[3, 4], [0, 0], [0, -2]]))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, [[0.6, 0.8], [0.0, 0.0], [0.0, -1.0]])
+
+    def test_input_is_not_written(self):
+        m = np.random.default_rng(43).normal(size=(5, 3))
+        before = m.copy()
+        unit_rows(m)
+        np.testing.assert_array_equal(m, before)

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from photoseg.datamodel import Segmentation, ValidationError
+from photoseg.fusion import BLOCK_ROWS
 from photoseg.graphcut import (
     GcParams,
-    _centroid_similarities,
+    LabelSpace,
     _chain_optimum,
+    _log_softmax,
     _pair_energies,
     build_label_space,
     labeling_energy,
@@ -333,8 +336,11 @@ class TestAgainstLoopReferences:
             for m in (stream, centroids):
                 m[rng.random(m.shape[0]) < 0.2] = 0.0
                 m[rng.random(m.shape[0]) < 0.2] = -0.0
-            assert _centroid_similarities(stream, centroids).tobytes() == \
-                inline_centroid_similarities(stream, centroids).tobytes()
+            ls = LabelSpace(None, None, None, centroids, centroids[::-1])
+            u_ac, u_adw = unary_energies(ls, stream, GcParams(softmax_temp=0.3))
+            for got, cents in ((u_ac, centroids), (u_adw, centroids[::-1])):
+                want = -_log_softmax(inline_centroid_similarities(stream, cents) / 0.3)
+                assert got.tobytes() == want.tobytes()
             assert _pair_energies(stream, 1)[:-1, 2].tobytes() == \
                 inline_adjacent_energies(stream).tobytes()
 
@@ -365,3 +371,104 @@ class TestAgainstLoopReferences:
         stream = rng.normal(size=(5, 2))
         with pytest.raises(ValidationError, match="finite"):
             minimize_labels(_fake_ls(u_ac, stream), u_ac, u_adw, stream, GcParams())
+
+
+def _peak_bytes(fn, *args) -> int:
+    """Peak of the memory numpy reports to tracemalloc during one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _sweep_sized_label_space():
+    """A label space of the benchmark's ``sweep`` size: 400 frames of
+    width 286 and 176 labels."""
+    rng = np.random.default_rng(17)
+    n = 400
+    stream = rng.uniform(size=(n, 286))
+    cuts = rng.choice(np.arange(1, n), size=175, replace=False).tolist()
+    ls = build_label_space(Segmentation.from_boundaries(n, set(cuts[:60])),
+                           Segmentation.from_boundaries(n, set(cuts[40:])), stream)
+    assert ls.num_labels == 176
+    return ls, stream
+
+
+class TestMemory:
+    """numpy reports its buffers to tracemalloc; each stage keeps its
+    output plus row-block temporaries, measured in n x L floats."""
+
+    def test_unaries_are_built_in_their_own_tables(self):
+        # five whole-table temporaries per candidate would be ~7 tables
+        ls, stream = _sweep_sized_label_space()
+        cells = stream.shape[0] * ls.num_labels
+        assert _peak_bytes(unary_energies, ls, stream, GcParams()) < 5 * cells * 8
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_minimizer_keeps_one_table_and_bool_back_pointers(self, radius):
+        # int64 back pointers and a three-table mix would be ~6 tables
+        ls, stream = _sweep_sized_label_space()
+        u_ac, u_adw = unary_energies(ls, stream, GcParams())
+        cells = stream.shape[0] * ls.num_labels
+        peak = _peak_bytes(minimize_labels, ls, u_ac, u_adw, stream, GcParams(radius=radius))
+        assert peak < 4 * cells * 8
+
+
+class TestBlockEdges:
+    def test_pair_table_equals_per_pair_calls_across_blocks(self):
+        rng = np.random.default_rng(53)
+        for n in (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2):
+            stream = rng.normal(size=(n, 9))
+            stream[rng.random(n) < 0.1] = 0.0
+            for radius in (1, 2, 3):
+                want = np.zeros((n, 2 * radius + 1))
+                for i in range(n):
+                    for j in range(max(0, i - radius), min(n, i + radius + 1)):
+                        if j != i:
+                            want[i, j - i + radius] = pairwise_energy(stream[i], stream[j])
+                assert _pair_energies(stream, radius).tobytes() == want.tobytes(), \
+                    (n, radius)
+
+    def test_log_softmax_in_place_equals_a_new_table(self):
+        rng = np.random.default_rng(59)
+        for n in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1):
+            x = rng.normal(size=(n, 7)) * 30.0
+            want = _log_softmax(x)
+            _log_softmax(x, out=x)
+            assert x.tobytes() == want.tobytes()
+
+
+class TestFewLabels:
+    """The switch source is read back from each frame's strict
+    new-minimum mask, which has no column at one label and one at two."""
+
+    @pytest.mark.parametrize("num_labels", [1, 2])
+    def test_matches_prefix_scan_at_radius_1(self, num_labels):
+        rng = np.random.default_rng(61 + num_labels)
+        for case in range(150):
+            n = int(rng.integers(1, 30))
+            mixed = rng.integers(0, 3, size=(n, num_labels)) * 1.0 if case % 2 \
+                else rng.uniform(0, 5, size=(n, num_labels))
+            stream = rng.normal(size=(n, 3))
+            params = GcParams(unary_mix=0.0, pairwise_weight=float(rng.uniform(0, 1)))
+            np.testing.assert_array_equal(_chain_optimum(mixed, stream, params),
+                                          prefix_scan_chain_optimum(mixed, stream, params))
+
+    @pytest.mark.parametrize("num_labels", [1, 2])
+    def test_reaches_the_exhaustive_optimum(self, num_labels):
+        rng = np.random.default_rng(67 + num_labels)
+        for case in range(90):
+            radius = 1 + case % 3
+            n = int(rng.integers(2, 9))
+            mixed = rng.uniform(0, 5, size=(n, num_labels))
+            stream = rng.normal(size=(n, 3))
+            w2 = float(rng.uniform(0, 1))
+            params = GcParams(unary_mix=0.0, pairwise_weight=w2, radius=radius)
+            zeros = np.zeros_like(mixed)
+            labels = _chain_optimum(mixed, stream, params)
+            assert np.all(np.diff(labels) >= 0)
+            got = labeling_energy(labels, mixed, zeros, stream, params)
+            want, _ = brute_force_min_labeling(mixed, stream, w2, radius)
+            assert got == pytest.approx(want, abs=1e-9)
