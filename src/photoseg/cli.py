@@ -37,17 +37,17 @@ from .datamodel import (
     save_segmentation,
 )
 from .evaluate import MatchParams, evaluate_pair
-from .pipeline import PipelineConfig, config_keys, grid_rows_to_csv, grid_search, run_pipeline
-from .semantic import (
-    ExactMatchProvider,
-    FileSimilarityProvider,
-    SemanticVocabulary,
-    assemble_semantic_features,
-    build_concept_graph,
-    cluster_concepts,
-    prune_low_variance,
-    smooth_temporal,
+from .pipeline import (
+    PipelineConfig,
+    PipelineResult,
+    build_vocabulary,
+    config_keys,
+    grid_rows_to_csv,
+    grid_search,
+    run_pipeline,
+    semantic_features,
 )
+from .semantic import FileSimilarityProvider, SemanticVocabulary
 from .synth import SynthSpec, generate
 
 
@@ -66,9 +66,7 @@ def _load_config(args) -> PipelineConfig:
 
 
 def _provider(args):
-    if getattr(args, "similarity", None):
-        return FileSimilarityProvider.from_file(args.similarity)
-    return ExactMatchProvider()
+    return FileSimilarityProvider.from_file(args.similarity) if args.similarity else None
 
 
 def _add_config_flags(sub):
@@ -81,9 +79,7 @@ def _add_config_flags(sub):
 
 def _cmd_vocab(args) -> int:
     detections = load_concept_detections(args.detections)
-    config = _load_config(args)
-    graph = build_concept_graph(detections, _provider(args))
-    vocab = cluster_concepts(graph, config.vocab_size, seed=config.seed)
+    vocab = build_vocabulary(detections, _load_config(args), _provider(args))
     vocab.save(args.out)
     print(f"wrote {vocab.size} concept clusters to {args.out}")
     return 0
@@ -95,11 +91,8 @@ def _cmd_featurize(args) -> int:
     if args.vocab:
         vocab = SemanticVocabulary.load(args.vocab)
     else:
-        graph = build_concept_graph(detections, _provider(args))
-        vocab = cluster_concepts(graph, config.vocab_size, seed=config.seed)
-    matrix = assemble_semantic_features(detections, vocab)
-    matrix = smooth_temporal(matrix, config.bandwidth)
-    matrix, kept = prune_low_variance(matrix, config.variance_threshold)
+        vocab = build_vocabulary(detections, config, _provider(args))
+    matrix, kept = semantic_features(detections, vocab, config)
     np.savetxt(args.out, matrix, delimiter=",")
     print(f"wrote {matrix.shape[0]} x {matrix.shape[1]} semantic matrix to {args.out} "
           f"(kept columns {kept})")
@@ -110,12 +103,32 @@ def _cmd_segment(args) -> int:
     features = load_feature_stream(args.features, format=args.format)
     detections = load_concept_detections(args.detections) if args.detections else None
     config = _load_config(args)
-    result = run_pipeline(features, detections, config,
-                          provider=_provider(args),
-                          dump_dir=args.dump_intermediates)
+    result = run_pipeline(features, detections, config, provider=_provider(args))
+    if args.dump_intermediates is not None:
+        _dump_intermediates(result, config, Path(args.dump_intermediates))
     save_segmentation(result.segmentation, args.out)
     print(f"wrote segmentation with {result.segmentation.num_segments} segments to {args.out}")
     return 0
+
+
+def _dump_intermediates(result: PipelineResult, config: PipelineConfig, out: Path) -> None:
+    """Write every artifact of a run to ``out`` (``--dump-intermediates``)."""
+    out.mkdir(parents=True, exist_ok=True)
+    stamped = {"format_version": 1, **config.to_dict()}
+    with (out / "config.json").open("w") as fh:
+        json.dump(stamped, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    save_segmentation(result.seg_ac, out / "candidate_agglomerative.json")
+    save_segmentation(result.seg_adw, out / "candidate_adwin.json")
+    save_segmentation(result.segmentation, out / "segmentation.json")
+    np.savetxt(out / "fused_features.csv", result.fused, delimiter=",")
+    if result.semantic is not None:
+        np.savetxt(out / "semantic_features.csv", result.semantic, delimiter=",")
+        with (out / "kept_concepts.json").open("w") as fh:
+            json.dump(result.kept_concepts, fh)
+            fh.write("\n")
+    if result.vocabulary is not None:
+        result.vocabulary.save(out / "vocabulary.json")
 
 
 def _cmd_evaluate(args) -> int:

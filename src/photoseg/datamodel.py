@@ -20,7 +20,7 @@ import csv
 import json
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -205,16 +205,8 @@ class EvalReport:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "fmeasure": self.fmeasure,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "gce": self.gce,
-            "lce": self.lce,
-        }
+        """Every field, in declaration order (the CSV column order too)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # ---------------------------------------------------------------- loaders
@@ -412,23 +404,19 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 def load_report(path: str | Path) -> EvalReport:
     obj = read_json_object(path)
     try:
-        fields = {k: obj[k] for k in REPORT_CSV_FIELDS}
+        values = {f.name: obj[f.name] for f in fields(EvalReport)}
     except KeyError as exc:
         raise ValidationError(f"report file missing field {exc}") from None
     try:
-        return EvalReport(**fields)
+        return EvalReport(**values)
     except TypeError as exc:  # a non-numeric count or score
         raise ValidationError(f"{path}: malformed report ({exc})") from None
 
 
-REPORT_CSV_FIELDS = ("precision", "recall", "fmeasure", "tp", "fp", "fn", "gce", "lce")
-
-
 def report_csv_header() -> str:
-    return ",".join(REPORT_CSV_FIELDS)
+    return ",".join(f.name for f in fields(EvalReport))
 
 
 def report_csv_row(report: EvalReport) -> str:
-    d = report.to_dict()
-    return ",".join("" if d[k] is None else repr(d[k]) if isinstance(d[k], float) else str(d[k])
-                    for k in REPORT_CSV_FIELDS)
+    return ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
+                    for v in report.to_dict().values())

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -32,7 +31,6 @@ from .datamodel import (
     ValidationError,
     _as_index,
     read_json_object,
-    save_segmentation,
 )
 from .evaluate import MatchParams, f_measure
 from .fusion import fuse, signed_root_normalize
@@ -217,20 +215,41 @@ def _unaries(memo: dict, key, ls, fused: np.ndarray,
     return tables
 
 
+def build_vocabulary(detections: ConceptDetections, config: PipelineConfig,
+                     provider: Optional[SimilarityProvider] = None) -> SemanticVocabulary:
+    """The day's concept vocabulary, as the stage "vocabulary".
+
+    The similarity provider defaults to exact tag matching, which degrades
+    the vocabulary to one cluster per distinct tag while ``vocab_size`` is
+    at least the number of distinct tags; past that, the tag graph is all
+    zero and its clusters are arbitrary (the all-zero tag graph defect in
+    ROADMAP.md's open items).
+    """
+    prov = provider if provider is not None else ExactMatchProvider()
+    graph = _stage("vocabulary", build_concept_graph, detections, prov)
+    return _stage("vocabulary", cluster_concepts, graph, config.vocab_size, seed=config.seed)
+
+
+def semantic_features(detections: ConceptDetections, vocab: SemanticVocabulary,
+                      config: PipelineConfig) -> tuple[np.ndarray, list[int]]:
+    """Per-frame concept confidences over ``vocab``, smoothed in time and
+    with low-variance columns pruned, plus the kept column indices. The
+    unpruned matrices go out of scope here, before fusion."""
+    raw = _stage("semantic", assemble_semantic_features, detections, vocab)
+    smoothed = _stage("smoothing", smooth_temporal, raw, config.bandwidth)
+    return _stage("pruning", prune_low_variance, smoothed, config.variance_threshold)
+
+
 def run_pipeline(features: FeatureStream,
                  detections: Optional[ConceptDetections],
                  config: PipelineConfig = PipelineConfig(),
                  provider: Optional[SimilarityProvider] = None,
-                 dump_dir: Optional[str | Path] = None,
                  *, memo: Optional[dict] = None) -> PipelineResult:
     """Segment one day-long stream.
 
     ``detections`` may be None (or semantic processing disabled in the
     config); the pipeline then runs on contextual features alone. The
-    similarity provider defaults to exact tag matching, which degrades the
-    vocabulary to one cluster per distinct tag while ``vocab_size`` is at
-    least the number of distinct tags; past that, the clusters come from
-    an all-zero tag graph (ROADMAP.md, item 3).
+    similarity provider defaults as in :func:`build_vocabulary`.
 
     ``memo`` holds work shared by runs on the same inputs (see
     :func:`grid_search`); by default a fresh dict. The candidate
@@ -249,8 +268,6 @@ def run_pipeline(features: FeatureStream,
         raise ValidationError("memo holds results for other features, detections "
                               "or similarity provider")
     n = features.n
-    semantic_matrix = None
-    kept: Optional[list[int]] = None
     vocab: Optional[SemanticVocabulary] = None
 
     use_semantic = config.semantic_enabled and detections is not None
@@ -262,18 +279,10 @@ def run_pipeline(features: FeatureStream,
         use_semantic = False
 
     if use_semantic:
-        prov = provider if provider is not None else ExactMatchProvider()
-        graph = _stage("vocabulary", build_concept_graph, detections, prov)
-        vocab = _stage("vocabulary", cluster_concepts, graph, config.vocab_size,
-                       seed=config.seed)
-        raw = _stage("semantic", assemble_semantic_features, detections, vocab)
-        smoothed = _stage("smoothing", smooth_temporal, raw, config.bandwidth)
-        semantic_matrix, kept = _stage("pruning", prune_low_variance, smoothed,
-                                       config.variance_threshold)
-        del raw, smoothed
+        vocab = build_vocabulary(detections, config, provider)
+        semantic_matrix, kept = semantic_features(detections, vocab, config)
     else:
-        semantic_matrix = np.zeros((n, 0))
-        kept = []
+        semantic_matrix, kept = np.zeros((n, 0)), []
 
     contextual = _stage("fusion", signed_root_normalize, features.contextual)
     fused = _stage("fusion", fuse, contextual, semantic_matrix, config.blend)
@@ -292,7 +301,7 @@ def run_pipeline(features: FeatureStream,
         memo, (key, config.agglo, config.adwin, config.gc.softmax_temp), ls, fused, config.gc)
     final = _stage("graphcut", minimize, ls, unary_ac, unary_adw, fused, config.gc)
 
-    result = PipelineResult(
+    return PipelineResult(
         segmentation=final,
         seg_ac=seg_ac,
         seg_adw=seg_adw,
@@ -301,29 +310,6 @@ def run_pipeline(features: FeatureStream,
         kept_concepts=kept if use_semantic else None,
         vocabulary=vocab,
     )
-    if dump_dir is not None:
-        _dump_intermediates(result, config, Path(dump_dir))
-    return result
-
-
-def _dump_intermediates(result: PipelineResult, config: PipelineConfig,
-                        out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    stamped = {"format_version": 1, **config.to_dict()}
-    with (out / "config.json").open("w") as fh:
-        json.dump(stamped, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    save_segmentation(result.seg_ac, out / "candidate_agglomerative.json")
-    save_segmentation(result.seg_adw, out / "candidate_adwin.json")
-    save_segmentation(result.segmentation, out / "segmentation.json")
-    np.savetxt(out / "fused_features.csv", result.fused, delimiter=",")
-    if result.semantic is not None:
-        np.savetxt(out / "semantic_features.csv", result.semantic, delimiter=",")
-        with (out / "kept_concepts.json").open("w") as fh:
-            json.dump(result.kept_concepts, fh)
-            fh.write("\n")
-    if result.vocabulary is not None:
-        result.vocabulary.save(out / "vocabulary.json")
 
 
 @dataclass

@@ -146,8 +146,8 @@ class ExactMatchProvider(SimilarityProvider):
     Useful default when no lexical database export is available. While
     ``vocab_size`` is at least the number of distinct tags, the vocabulary
     then falls back to one cluster per distinct tag. Past that, the tag
-    graph is all zero and its spectral clusters are arbitrary (ROADMAP.md,
-    item 3).
+    graph is all zero and its spectral clusters are arbitrary (the
+    all-zero tag graph defect in ROADMAP.md's open items).
     """
 
     def meanings(self, tag: str) -> list[str]:

@@ -2,12 +2,13 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from photoseg.cli import _load_config, build_parser, main
-from photoseg.datamodel import load_segmentation
+from photoseg.datamodel import load_concept_detections, load_feature_stream, load_segmentation
 from photoseg.evaluate import evaluate_pair
-from photoseg.pipeline import PipelineConfig, config_keys
+from photoseg.pipeline import PipelineConfig, config_keys, run_pipeline
 from photoseg.synth import block_spec
 
 
@@ -70,8 +71,10 @@ def test_segment_dump_intermediates(fixture_dir, tmp_path):
         "--dump-intermediates", str(tmp_path / "stages"),
     ])
     assert rc == 0
-    assert (tmp_path / "stages" / "vocabulary.json").exists()
-    assert (tmp_path / "stages" / "candidate_agglomerative.json").exists()
+    names = {p.name for p in (tmp_path / "stages").iterdir()}
+    assert {"config.json", "candidate_agglomerative.json", "candidate_adwin.json",
+            "segmentation.json", "fused_features.csv", "semantic_features.csv",
+            "kept_concepts.json", "vocabulary.json"} <= names
 
 
 def test_vocab_and_featurize(fixture_dir, tmp_path):
@@ -87,6 +90,32 @@ def test_vocab_and_featurize(fixture_dir, tmp_path):
     assert rc == 0
     rows = matrix_path.read_text().strip().split("\n")
     assert len(rows) == 45
+
+
+def test_vocab_and_featurize_write_the_pipeline_bytes(fixture_dir, tmp_path):
+    flags = ["--vocab-size", "4", "--bandwidth", "2.0"]
+    detections = str(fixture_dir / "detections.jsonl")
+    assert main(["vocab", detections, "--out", str(tmp_path / "vocab.json"), *flags]) == 0
+    assert main(["featurize", detections, "--out", str(tmp_path / "semantic.csv"), *flags]) == 0
+
+    result = run_pipeline(load_feature_stream(fixture_dir / "features.csv"),
+                          load_concept_detections(detections),
+                          PipelineConfig().override(vocab_size=4, bandwidth=2.0))
+    result.vocabulary.save(tmp_path / "want_vocab.json")
+    np.savetxt(tmp_path / "want_semantic.csv", result.semantic, delimiter=",")
+    assert (tmp_path / "vocab.json").read_bytes() == (tmp_path / "want_vocab.json").read_bytes()
+    assert ((tmp_path / "semantic.csv").read_bytes()
+            == (tmp_path / "want_semantic.csv").read_bytes())
+
+
+def test_vocab_names_the_stage_of_an_unknown_tag(fixture_dir, tmp_path, capsys):
+    sim_path = tmp_path / "sims.json"
+    sim_path.write_text(json.dumps({"meanings": {"concept_0_0": ["concept_0_0"]},
+                                    "sims": []}))
+    rc = main(["vocab", str(fixture_dir / "detections.jsonl"),
+               "--similarity", str(sim_path), "--out", str(tmp_path / "vocab.json")])
+    assert rc == 2
+    assert "[vocabulary]" in capsys.readouterr().err
 
 
 def test_similarity_table_flows_through_vocab(fixture_dir, tmp_path):

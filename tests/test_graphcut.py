@@ -201,21 +201,23 @@ class TestMinimize:
 
     def test_returned_energy_no_worse_than_candidates(self):
         rng = np.random.default_rng(21)
-        for _ in range(25):
-            n = int(rng.integers(4, 12))
-            stream = rng.normal(size=(n, 3))
-            seg_ac = _random_segmentation(rng, n)
-            seg_adw = _random_segmentation(rng, n)
-            ls = build_label_space(seg_ac, seg_adw, stream)
-            params = GcParams(unary_mix=float(rng.uniform(0, 1)),
-                              pairwise_weight=float(rng.uniform(0, 1)))
-            u_ac, u_adw = unary_energies(ls, stream, params)
-            labels = minimize_labels(ls, u_ac, u_adw, stream, params)
-            e = labeling_energy(labels, u_ac, u_adw, stream, params)
-            for cand in (seg_ac, seg_adw):
-                cand_labels = labeling_from_segmentation(cand, ls)
-                cand_e = labeling_energy(cand_labels, u_ac, u_adw, stream, params)
-                assert e <= cand_e + 1e-9
+        # the chain DP is exact at every radius, not only the default 1
+        for radius in (1, 2, 3):
+            for _ in range(25):
+                n = int(rng.integers(4, 12))
+                stream = rng.normal(size=(n, 3))
+                seg_ac = _random_segmentation(rng, n)
+                seg_adw = _random_segmentation(rng, n)
+                ls = build_label_space(seg_ac, seg_adw, stream)
+                params = GcParams(unary_mix=float(rng.uniform(0, 1)),
+                                  pairwise_weight=float(rng.uniform(0, 1)), radius=radius)
+                u_ac, u_adw = unary_energies(ls, stream, params)
+                labels = minimize_labels(ls, u_ac, u_adw, stream, params)
+                e = labeling_energy(labels, u_ac, u_adw, stream, params)
+                for cand in (seg_ac, seg_adw):
+                    cand_labels = labeling_from_segmentation(cand, ls)
+                    cand_e = labeling_energy(cand_labels, u_ac, u_adw, stream, params)
+                    assert e <= cand_e + 1e-9
 
     def test_pure_ac_and_pure_adwin_recover_argmin(self):
         rng = np.random.default_rng(5)

@@ -60,14 +60,6 @@ class TestRunPipeline:
         assert a.segmentation == b.segmentation
         np.testing.assert_array_equal(a.fused, b.fused)
 
-    def test_dump_intermediates(self, clean_fixture, tmp_path):
-        stream, det, _ = clean_fixture
-        run_pipeline(stream, det, dump_dir=tmp_path / "dump")
-        names = {p.name for p in (tmp_path / "dump").iterdir()}
-        assert {"config.json", "candidate_agglomerative.json", "candidate_adwin.json",
-                "segmentation.json", "fused_features.csv", "semantic_features.csv",
-                "kept_concepts.json", "vocabulary.json"} <= names
-
 
 def _noisy_days():
     return [generate(block_spec(num_segments=4, segment_length=(12, 20, 8, 16),
