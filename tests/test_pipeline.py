@@ -60,6 +60,19 @@ class TestRunPipeline:
         assert a.segmentation == b.segmentation
         np.testing.assert_array_equal(a.fused, b.fused)
 
+    def test_dump_intermediates(self, clean_fixture, tmp_path):
+        from photoseg.cli import _dump_intermediates
+
+        stream, det, _ = clean_fixture
+        cfg = PipelineConfig()
+        result = run_pipeline(stream, det, cfg)
+        # the pipeline itself writes nothing; every artifact comes from its result
+        _dump_intermediates(result, cfg, tmp_path / "dump")
+        names = {p.name for p in (tmp_path / "dump").iterdir()}
+        assert {"config.json", "candidate_agglomerative.json", "candidate_adwin.json",
+                "segmentation.json", "fused_features.csv", "semantic_features.csv",
+                "kept_concepts.json", "vocabulary.json"} <= names
+
 
 def _noisy_days():
     return [generate(block_spec(num_segments=4, segment_length=(12, 20, 8, 16),
