@@ -30,7 +30,10 @@ The dendrogram is cut where the merge distance reaches the cutoff, frames
 inherit their cluster's label, and the output segmentation places a
 boundary wherever consecutive frames carry different labels. Labels are
 not forced to be temporally contiguous; a cluster that recurs later in
-the day simply contributes several segments.
+the day simply contributes several segments. The merge table depends
+only on the frames and the linkage, and the cut reads only the table, so
+a sweep over cutoffs builds the table once and cuts it once per cutoff
+(the ``merge_tables`` argument of :func:`cluster_frames`).
 
 Ward, centroid and median linkage are formally defined for Euclidean
 distances; they are applied to the cosine-distance matrix through the
@@ -43,6 +46,7 @@ candidate subtree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -237,11 +241,19 @@ def cut_merge_sequence(merges: np.ndarray, n: int, cutoff: float) -> np.ndarray:
         up = jumped
 
 
-def cluster_frames(stream: np.ndarray, params: AggloParams) -> Segmentation:
+def cluster_frames(stream: np.ndarray, params: AggloParams, *,
+                   merge_tables: Optional[dict] = None) -> Segmentation:
     """Agglomerate fused frame vectors and cut at the configured distance.
 
     Returns the segmentation induced by label changes between consecutive
     frames. A NaN or inf entry raises :class:`ValidationError`.
+
+    The work has two steps: the merge table, which depends on the stream
+    and the linkage only, and its cut at ``params.cutoff``. A caller that
+    cuts one stream at several cutoffs may pass ``merge_tables``, a dict
+    of read-only merge tables by linkage that it keeps for this stream
+    alone: a table found there is cut as it is, and a missing one is built
+    and added. The segmentation is the same either way.
     """
     rows = np.asarray(stream, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0:
@@ -251,8 +263,12 @@ def cluster_frames(stream: np.ndarray, params: AggloParams) -> Segmentation:
     n = rows.shape[0]
     if n == 1:
         return Segmentation(1, (0,))
-    # the distances are needed only as the merge loop's work matrix
-    merges = linkage_merge_sequence(cosine_distance_matrix(rows), params.linkage,
-                                    overwrite_dist=True)
-    labels = cut_merge_sequence(merges, n, params.cutoff)
+    tables = {} if merge_tables is None else merge_tables
+    if params.linkage not in tables:
+        # the distances are needed only as the merge loop's work matrix
+        merges = linkage_merge_sequence(cosine_distance_matrix(rows), params.linkage,
+                                        overwrite_dist=True)
+        merges.flags.writeable = False
+        tables[params.linkage] = merges
+    labels = cut_merge_sequence(tables[params.linkage], n, params.cutoff)
     return Segmentation.from_labels(labels)

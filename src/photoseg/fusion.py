@@ -50,6 +50,22 @@ def unit_rows(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def slice_means(m: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``m[starts[i]:stops[i]].mean(axis=0)``, bit for bit;
+    every slice must be non-empty.
+
+    Each slice is summed by ``np.add.reduce`` straight into its output row
+    and the table is then divided by the slice lengths once, which is
+    ``mean``'s own arithmetic without its per-call overhead.
+    ``np.add.reduceat`` adds in another order and is not bit-equal.
+    """
+    out = np.empty((len(starts), m.shape[1]))
+    for row, lo, hi in zip(out, starts.tolist(), stops.tolist()):
+        np.add.reduce(m[lo:hi], axis=0, out=row)
+    out /= (stops - starts)[:, None]
+    return out
+
+
 def fuse(contextual: np.ndarray, semantic: np.ndarray, blend: float = 0.5) -> np.ndarray:
     """Concatenate per-frame contextual and semantic blocks.
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .agglo import cosine_distance
 from .datamodel import Segmentation, ValidationError
-from .fusion import BLOCK_ROWS, unit_rows
+from .fusion import BLOCK_ROWS, slice_means, unit_rows
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,9 @@ def build_label_space(seg_ac: Segmentation, seg_adw: Segmentation,
     )
 
     def method_centroids(seg: Segmentation) -> np.ndarray:
-        seg_means = [rows[s:e + 1].mean(axis=0) for s, e in seg.segments()]
-        lab = seg.labels()
-        return np.asarray([seg_means[lab[start]] for start in atomic.starts])
+        starts = np.asarray(seg.starts)
+        seg_means = slice_means(rows, starts, np.append(starts[1:], seg.n))
+        return seg_means[seg.labels()[list(atomic.starts)]]
 
     return LabelSpace(
         atomic=atomic,
@@ -279,7 +279,9 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> n
         if age == r - 1 and stay[t, label]:
             continue
         if age == 0:
-            label = int(np.flatnonzero(new_min[t, :label])[-1])
+            # the last True below the label; a switch at frame t > 0 never
+            # enters label 0, and if it did the empty slice would raise
+            label -= 1 + int(np.argmax(new_min[t, :label][::-1]))
             age = int(back_age[t, label]) if r > 1 else 0
         else:
             age -= 1

@@ -186,11 +186,11 @@ def _adwin_candidate(fused: np.ndarray, params: AdwinParams) -> Segmentation:
     return detect_changes(rescale_to_unit(fused), params)
 
 
-def _candidate(memo: dict, key, params, name: str, fn, fused: np.ndarray):
-    """``fn(fused, params)`` as the stage ``name``, looked up in ``memo``
-    under ``(key, params)`` and stored there on a miss."""
+def _candidate(memo: dict, key, params, name: str, fn, fused: np.ndarray, **kwargs):
+    """``fn(fused, params, **kwargs)`` as the stage ``name``, looked up in
+    ``memo`` under ``(key, params)`` and stored there on a miss."""
     if (key, params) not in memo:
-        memo[key, params] = _stage(name, fn, fused, params)
+        memo[key, params] = _stage(name, fn, fused, params, **kwargs)
     return memo[key, params]
 
 
@@ -255,9 +255,12 @@ def run_pipeline(features: FeatureStream,
     :func:`grid_search`); by default a fresh dict. The candidate
     segmentations are stored in it under their own parameters and the
     config's top-level values, which fix the fused matrix when the inputs
-    are fixed (``agglo``, ``adwin`` and ``gc`` act after fusion); the
-    previous run's unary tables are reused when that key, both
-    candidates' parameters and ``softmax_temp`` match. A memo refuses,
+    are fixed (``agglo``, ``adwin`` and ``gc`` act after fusion). The
+    agglomerative merge tables are stored under that key and ``linkage``:
+    :func:`cluster_frames` builds one in the run of the first cutoff that
+    needs it, and every other cutoff only cuts it. The previous run's
+    unary tables are reused when that key, both candidates' parameters
+    and ``softmax_temp`` match. A memo refuses,
     with :class:`ValidationError`, a run on other ``features``,
     ``detections`` or ``provider`` objects than its first. Features and
     detections are immutable; a provider changed in place goes unseen.
@@ -292,7 +295,10 @@ def run_pipeline(features: FeatureStream,
     # every top-level value but the grid; a new one only adds misses
     key = tuple(getattr(config, name) for name, (_, part) in config_keys().items()
                 if part is None and name != "grid")
-    seg_ac = _candidate(memo, key, config.agglo, "agglomerative", cluster_frames, fused)
+    # the merge tables by linkage of this fused matrix, built by the
+    # first cut that needs one
+    seg_ac = _candidate(memo, key, config.agglo, "agglomerative", cluster_frames, fused,
+                        merge_tables=memo.setdefault((key, "merge tables"), {}))
     seg_adw = _candidate(memo, key, config.adwin, "adwin", _adwin_candidate, fused)
 
     ls = _stage("graphcut", build_label_space, seg_ac, seg_adw, fused)
@@ -335,10 +341,11 @@ def grid_search(features: FeatureStream,
     Every configuration runs the full pipeline, except that within this
     call each candidate segmentation is computed once per distinct
     top-level config values and candidate parameters, and reused by every
-    configuration that shares them; consecutive configurations that share
-    both candidates and ``softmax_temp`` also share one pair of unary
-    tables (``memo`` of :func:`run_pipeline`). Nothing is kept across
-    calls.
+    configuration that shares them; the agglomerative merge table is
+    built once per distinct top-level config values and ``linkage``, and
+    each cutoff only cuts it; consecutive configurations that share both
+    candidates and ``softmax_temp`` also share one pair of unary tables
+    (``memo`` of :func:`run_pipeline`). Nothing is kept across calls.
     """
     if not config.grid:
         raise ValidationError("configuration declares no grid")

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .datamodel import ConceptDetections, ValidationError, read_json_object
-from .fusion import unit_rows
+from .fusion import slice_means, unit_rows
 
 # seeded k-means runs per spectral clustering; the least distortion wins
 _KMEANS_RESTARTS = 10
@@ -301,11 +301,11 @@ def _centre_means(points: np.ndarray, labels: np.ndarray, centres: np.ndarray) -
     grouped = points[np.argsort(labels, kind="stable")]
     counts = np.bincount(labels, minlength=centres.shape[0])
     ends = np.cumsum(counts)
+    used = np.flatnonzero(counts)
     new_centres = centres.copy()
-    for j in np.flatnonzero(counts):
-        # the same rows in the same order as points[labels == j], so the
-        # same sums bit for bit; vectorised sums (np.add.reduceat) are not
-        new_centres[j] = grouped[ends[j] - counts[j]:ends[j]].mean(axis=0)
+    # label j's slice holds the same rows in the same order as
+    # points[labels == j], so the same sums bit for bit
+    new_centres[used] = slice_means(grouped, ends[used] - counts[used], ends[used])
     return new_centres
 
 
@@ -418,13 +418,18 @@ def assemble_semantic_features(det: ConceptDetections, vocab: SemanticVocabulary
     values lie in [0, 1]. An all-zero matrix stays all-zero.
     """
     mapping = vocab.tag_to_cluster()
+    tags = [tag for frame in det.frames for tag, _ in frame]
+    cols = np.array([mapping.get(tag, -1) for tag in tags], dtype=np.intp)
+    frame_of = np.repeat(np.arange(det.n), [len(frame) for frame in det.frames])
+    unknown = np.flatnonzero(cols < 0)
+    if unknown.size:
+        first = unknown[0]
+        raise ValidationError(f"frame {frame_of[first]}: tag {tags[first]!r} not in the vocabulary")
     out = np.zeros((det.n, vocab.size), dtype=np.float64)
-    for i, frame in enumerate(det.frames):
-        for tag, conf in frame:
-            j = mapping.get(tag)
-            if j is None:
-                raise ValidationError(f"frame {i}: tag {tag!r} not in the vocabulary")
-            out[i, j] += conf
+    # unbuffered, in detection order: a frame's repeated cluster sums its
+    # confidences in the same order as a loop would
+    confs = np.array([conf for frame in det.frames for _, conf in frame], dtype=np.float64)
+    np.add.at(out, (frame_of, cols), confs)
     peak = out.max() if out.size else 0.0
     if peak > 0:
         out /= peak

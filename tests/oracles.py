@@ -16,8 +16,10 @@ shared one ``unit_rows`` helper and cut through connected components,
 that helper's own form from before it took its norms in row blocks, the
 BLAS scalar cosine from before every cosine went through it, and the
 triangle-layout merge loop from before merged nodes' slots were reused
-(it shares the library's Lance-Williams update): the tests compare the
-library's bytes, partitions and values against them.
+(it shares the library's Lance-Williams update), and the one-``mean``-per-
+segment centroids, one-``mean``-per-label k-means centres and per-
+detection feature loop from before those went through one table: the
+tests compare the library's bytes, partitions and values against them.
 """
 
 from __future__ import annotations
@@ -466,6 +468,15 @@ def prefix_scan_chain_optimum(mixed, stream, params):
     return labels
 
 
+def mean_method_centroids(seg, atomic, rows):
+    """One centroid per atomic interval: the ``mean`` of the rows of the
+    candidate segment that holds its start, one ``mean`` call per
+    segment."""
+    seg_means = [rows[s:e + 1].mean(axis=0) for s, e in seg.segments()]
+    lab = seg.labels()
+    return np.asarray([seg_means[lab[start]] for start in atomic.starts])
+
+
 # ------------------------------------------------------------ partitions
 
 def best_two_partition_score(weights):
@@ -540,4 +551,33 @@ def brute_semantic_matrix(det_frames, clusters):
             for j, members in enumerate(clusters):
                 if tag in members:
                     out[i, j] += conf
+    return out
+
+
+def per_label_centre_means(points, labels, centres):
+    """Each used label's ``points[labels == j].mean(axis=0)``, one call per
+    label; an unused label keeps its centre."""
+    new_centres = centres.copy()
+    for j in range(centres.shape[0]):
+        mask = labels == j
+        if mask.any():
+            new_centres[j] = points[mask].mean(axis=0)
+    return new_centres
+
+
+def loop_semantic_features(det, vocab):
+    """``assemble_semantic_features`` one detection at a time: each
+    confidence added into its cell in frame and detection order, then
+    the global rescale."""
+    mapping = vocab.tag_to_cluster()
+    out = np.zeros((det.n, vocab.size), dtype=np.float64)
+    for i, frame in enumerate(det.frames):
+        for tag, conf in frame:
+            j = mapping.get(tag)
+            if j is None:
+                raise ValueError(f"frame {i}: tag {tag!r} not in the vocabulary")
+            out[i, j] += conf
+    peak = out.max() if out.size else 0.0
+    if peak > 0:
+        out /= peak
     return out

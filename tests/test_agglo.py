@@ -5,6 +5,7 @@ import pytest
 from scipy.cluster.hierarchy import cophenet
 from scipy.spatial.distance import squareform
 
+from photoseg import agglo
 from photoseg.agglo import (
     LINKAGES,
     MONOTONE_LINKAGES,
@@ -281,6 +282,30 @@ class TestClusterFrames:
                 labels = cut_merge_sequence(merges, 18, cutoff)
                 counts.append(len(set(labels.tolist())))
             assert counts == sorted(counts, reverse=True), linkage
+
+    def test_shared_merge_tables_give_the_same_segmentations(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        built = []
+        merge = agglo.linkage_merge_sequence
+        monkeypatch.setattr(agglo, "linkage_merge_sequence",
+                            lambda dist, linkage, **kw: built.append(linkage) or
+                            merge(dist, linkage, **kw))
+        grid = [AggloParams(linkage, cutoff) for cutoff in (0.05, 0.3, 0.7, 1.2)
+                for linkage in LINKAGES]
+        for trial, rows in _oracle_inputs(rng, 30, n_max=20, n_min=1):
+            tables = {}
+            shared = [cluster_frames(rows, params, merge_tables=tables) for params in grid]
+            # one read-only table per linkage, built by its first cutoff;
+            # none for one frame
+            n = rows.shape[0]
+            assert built == (list(LINKAGES) if n > 1 else []) == list(tables)
+            for params, seg in zip(grid, shared):
+                assert seg == cluster_frames(rows, params), f"{params}, trial {trial}"
+            for linkage, table in tables.items():
+                assert not table.flags.writeable
+                want = merge(cosine_distance_matrix(rows), linkage)
+                assert table.tobytes() == want.tobytes()
+            built.clear()
 
     def test_rejects_non_finite_rows(self):
         rows = np.random.default_rng(3).uniform(size=(30, 4))

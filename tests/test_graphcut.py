@@ -26,6 +26,7 @@ from oracles import (
     brute_force_min_labeling,
     inline_adjacent_energies,
     inline_centroid_similarities,
+    mean_method_centroids,
     per_pair_labeling_energy,
     prefix_scan_chain_optimum,
 )
@@ -75,6 +76,28 @@ class TestBuildLabelSpace:
         with pytest.raises(ValidationError, match="disagree"):
             build_label_space(Segmentation(5, (0,)), Segmentation(6, (0,)),
                               np.zeros((5, 2)))
+
+    def test_centroids_bitwise_equal_one_mean_per_segment(self):
+        rng = np.random.default_rng(20)
+        for trial in range(240):
+            n = 1 if trial % 20 == 0 else int(rng.integers(2, 40))
+            scale = 10.0 ** rng.choice([-150, 0, 150])
+            stream = rng.normal(size=(n, int(rng.integers(1, 12)))) * scale
+            stream[rng.random(stream.shape) < 0.1] = -0.0
+
+            def segmentation(kind):
+                if kind == 0:
+                    return Segmentation(n, (0,))
+                if kind == 1:
+                    return Segmentation(n, tuple(range(n)))
+                cuts = rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False)
+                return Segmentation.from_boundaries(n, cuts.tolist())
+
+            seg_ac, seg_adw = segmentation(trial % 4), segmentation((trial // 4) % 4)
+            ls = build_label_space(seg_ac, seg_adw, stream)
+            for seg, got in ((seg_ac, ls.centroids_ac), (seg_adw, ls.centroids_adw)):
+                want = mean_method_centroids(seg, ls.atomic, stream)
+                assert got.tobytes() == want.tobytes(), f"trial {trial}"
 
 
 class TestUnaryEnergies:
@@ -141,6 +164,42 @@ class TestMinimize:
             got = labeling_energy(labels, mixed, np.zeros_like(mixed), stream, params)
             want, _ = brute_force_min_labeling(mixed, stream, w2, radius)
             assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("radius", [1, 2])
+    def test_optimum_switching_at_nearly_every_frame(self, radius):
+        # frame t is cheap only at label plan[t], a non-decreasing plan
+        # that moves up at every frame but one, and dear elsewhere; every
+        # switch of the walk back takes the last new minimum below it
+        rng = np.random.default_rng(40 + radius)
+        n = 8
+        for case in range(8):
+            plan = np.delete(np.arange(n), int(rng.integers(1, n)))
+            plan = np.insert(plan, int(rng.integers(1, n)), 0)
+            plan = np.maximum.accumulate(plan)
+            num_labels = int(plan[-1]) + 1 + case % 2
+            mixed = rng.uniform(6.0, 8.0, size=(n, num_labels))
+            mixed[np.arange(n), plan] = rng.uniform(0.0, 0.5, size=n)
+            stream = rng.normal(size=(n, 3))
+            params = GcParams(unary_mix=0.0, pairwise_weight=float(rng.uniform(0, 1)),
+                              radius=radius)
+            got = _chain_optimum(mixed, stream, params)
+            _, want = brute_force_min_labeling(mixed, stream, params.pairwise_weight, radius)
+            assert got.tolist() == list(want) == plan.tolist()
+            assert np.count_nonzero(np.diff(got)) == n - 2
+            if radius == 1:
+                assert got.tolist() == prefix_scan_chain_optimum(mixed, stream, params).tolist()
+
+    def test_long_switching_chain_matches_prefix_scan(self):
+        # one label per frame, each frame's own the cheapest: ~n switches
+        rng = np.random.default_rng(43)
+        n = 300
+        mixed = rng.uniform(6.0, 8.0, size=(n, n))
+        mixed[np.arange(n), np.arange(n)] = rng.uniform(0.0, 0.5, size=n)
+        stream = rng.normal(size=(n, 4))
+        params = GcParams(unary_mix=0.0, pairwise_weight=1.0, radius=1)
+        got = _chain_optimum(mixed, stream, params)
+        assert got.tolist() == prefix_scan_chain_optimum(mixed, stream, params).tolist()
+        assert np.count_nonzero(np.diff(got)) > 0.9 * n
 
     def test_radius_2_optimum_beyond_single_frame_moves(self):
         # the radius-1 optimum is [0, 0, 0]; at radius 2, [0, 1, 1] is lower,

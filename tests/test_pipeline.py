@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from photoseg import agglo as agglo_module
 from photoseg import pipeline
 from photoseg.adwin import rescale_to_unit
 from photoseg.datamodel import FeatureStream, Segmentation, ValidationError
@@ -301,6 +302,23 @@ class TestGridSearchReuse:
         adwin = _recording(monkeypatch, "detect_changes")
         unary = _recording(monkeypatch, "unary_energies")
         minimized = _recording(monkeypatch, "minimize")
+        # each merge loop call, with the cluster_frames calls open around it
+        open_agglo, merges = [], []
+        recorded_agglo, merge = pipeline.cluster_frames, agglo_module.linkage_merge_sequence
+
+        def nested_agglo(fused, params, **kwargs):
+            open_agglo.append((fused.tobytes(), params))
+            try:
+                return recorded_agglo(fused, params, **kwargs)
+            finally:
+                open_agglo.pop()
+
+        def recorded_merge(dist, linkage, **kwargs):
+            merges.append((linkage, list(open_agglo)))
+            return merge(dist, linkage, **kwargs)
+
+        monkeypatch.setattr(pipeline, "cluster_frames", nested_agglo)
+        monkeypatch.setattr(agglo_module, "linkage_merge_sequence", recorded_merge)
         grid_search(stream, det, gt, config)
         configs = [args[2] for args, _, _ in runs]
         fused = [result.fused.tobytes() for _, _, result in runs]
@@ -313,6 +331,13 @@ class TestGridSearchReuse:
         assert set(adwin_keys) == {(rescale_to_unit(r.fused).tobytes(), c.adwin)
                                    for c, (_, _, r) in zip(configs, runs)}
         assert (len(agglo), len(adwin)) == (16, 8)
+        # one merge table per distinct fused matrix and linkage, each built
+        # inside the cluster_frames call of its first cutoff
+        assert all(len(around) == 1 and around[0][1].linkage == linkage
+                   for linkage, around in merges)
+        merge_keys = [(around[0][0], linkage) for linkage, around in merges]
+        assert len(set(merge_keys)) == len(merge_keys) == 8
+        assert set(merge_keys) == {(f, c.agglo.linkage) for f, c in zip(fused, configs)}
         # the unary tables read the label space, so both candidates' inputs,
         # and the softmax temperature; one pair is held, so they are
         # recomputed whenever that key differs from the previous run's,
@@ -323,7 +348,7 @@ class TestGridSearchReuse:
         assert not any(t.flags.writeable for a, _, _ in minimized for t in a[1:3])
         # nothing is kept across calls
         grid_search(stream, det, gt, config)
-        assert (len(agglo), len(adwin), len(unary)) == (32, 16, 64)
+        assert (len(agglo), len(merges), len(adwin), len(unary)) == (32, 16, 16, 64)
 
     def test_memo_refuses_other_inputs(self, clean_fixture, reuse_day):
         stream, det, _ = clean_fixture

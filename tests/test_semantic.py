@@ -6,11 +6,13 @@ import pytest
 from photoseg import semantic
 from photoseg.datamodel import ConceptDetections, ValidationError
 from photoseg.semantic import (
+    ConceptCluster,
     ExactMatchProvider,
     FileSimilarityProvider,
     SemanticVocabulary,
     SimilarityProvider,
     UnknownTagError,
+    _centre_means,
     _farthest_point_kmeans,
     _spectral_labels,
     assemble_semantic_features,
@@ -23,7 +25,9 @@ from photoseg.semantic import (
 from oracles import (
     best_two_partition_score,
     brute_semantic_matrix,
+    loop_semantic_features,
     pairwise_tag_weights,
+    per_label_centre_means,
     rescan_init_kmeans,
 )
 
@@ -345,8 +349,43 @@ class TestAssembleSemanticFeatures:
             raw = brute_semantic_matrix(det.frames,
                                         [set(c.members) for c in vocab.clusters])
             expected = raw / raw.max() if raw.max() > 0 else raw
-            np.testing.assert_allclose(
-                assemble_semantic_features(det, vocab), expected, atol=1e-12)
+            got = assemble_semantic_features(det, vocab)
+            np.testing.assert_allclose(got, expected, atol=1e-12)
+            # k below the tag count often puts two tags of a frame in one
+            # cluster, whose sum must keep the per-detection loop's order
+            assert got.tobytes() == loop_semantic_features(det, vocab).tobytes()
+
+    def test_two_tags_of_one_frame_in_one_cluster(self):
+        det = detections([("a", 0.1), ("b", 0.2), ("c", 0.7)], [("b", 0.3)])
+        vocab = SemanticVocabulary((ConceptCluster("a", ("a", "b", "c")),))
+        m = assemble_semantic_features(det, vocab)
+        assert m.tobytes() == loop_semantic_features(det, vocab).tobytes()
+        assert m[0, 0] == 1.0 and m[1, 0] == 0.3 / (0.1 + 0.2 + 0.7)
+
+    def test_unmapped_tag_names_the_first_frame_and_tag(self):
+        vocab = cluster_concepts(build_concept_graph(detections([("a", 0.4)]),
+                                                     ExactMatchProvider()), 5)
+        det = detections([("a", 0.4)], [("a", 0.1), ("y", 0.2)], [("x", 0.3)])
+        with pytest.raises(ValidationError, match=r"^frame 1: tag 'y' not in the vocabulary$"):
+            assemble_semantic_features(det, vocab)
+
+
+class TestCentreMeans:
+    def test_bitwise_equal_one_mean_per_label(self):
+        rng = np.random.default_rng(9)
+        for trial in range(200):
+            v = 1 if trial % 20 == 0 else int(rng.integers(2, 40))
+            k = int(rng.integers(1, v + 3))
+            scale = 10.0 ** rng.choice([-150, 0, 150])
+            points = rng.normal(size=(v, int(rng.integers(1, 9)))) * scale
+            points[rng.random(points.shape) < 0.1] = -0.0
+            kind = trial % 3
+            labels = (np.zeros(v, dtype=np.int64) if kind == 0
+                      else np.arange(v) % k if kind == 1
+                      else rng.integers(0, k, size=v))
+            centres = rng.normal(size=(k, points.shape[1]))
+            want = per_label_centre_means(points, labels, centres)
+            assert _centre_means(points, labels, centres).tobytes() == want.tobytes()
 
 
 class TestSmoothTemporal:
