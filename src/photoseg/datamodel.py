@@ -57,7 +57,10 @@ class Segmentation:
         object.__setattr__(self, "n", _as_index(self.n, "segmentation n"))
         if self.n < 1:
             raise ValidationError(f"segmentation needs n >= 1, got n={self.n}")
-        starts = tuple(_as_index(s, "segment start") for s in self.starts)
+        starts = tuple(self.starts)
+        # plain ints (not bool, a subclass) need no conversion
+        if not all(type(s) is int for s in starts):
+            starts = tuple(_as_index(s, "segment start") for s in starts)
         object.__setattr__(self, "starts", starts)
         if not starts or starts[0] != 0:
             raise ValidationError(f"first segment must start at 0, got starts={starts[:3]}...")

@@ -25,7 +25,12 @@ def signed_root_normalize(x: np.ndarray) -> np.ndarray:
     to zero vectors.
     """
     arr = np.asarray(x, dtype=np.float64)
-    rooted = np.sign(arr) * np.sqrt(np.abs(arr))
+    # sign(x) * sqrt(|x|) in one buffer; copysign keeps the sign of -0.0,
+    # which sign() maps to +0.0, until the added 0.0 clears it
+    rooted = np.abs(arr)
+    np.sqrt(rooted, out=rooted)
+    np.copysign(rooted, arr, out=rooted)
+    rooted += 0.0
     if rooted.ndim not in (1, 2):
         raise ValidationError("expected a vector or a matrix of row vectors")
     return unit_rows(np.atleast_2d(rooted)).reshape(rooted.shape)
@@ -54,15 +59,21 @@ def slice_means(m: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndar
     """Row ``i`` is ``m[starts[i]:stops[i]].mean(axis=0)``, bit for bit;
     every slice must be non-empty.
 
-    Each slice is summed by ``np.add.reduce`` straight into its output row
-    and the table is then divided by the slice lengths once, which is
-    ``mean``'s own arithmetic without its per-call overhead.
-    ``np.add.reduceat`` adds in another order and is not bit-equal.
+    Each longer slice is summed by ``np.add.reduce`` straight into its
+    output row and the table is then divided by the slice lengths once,
+    which is ``mean``'s own arithmetic without its per-call overhead.
+    ``np.add.reduceat`` adds in another order and is not bit-equal. The
+    one-row slices are gathered by one index instead, plus 0.0, which
+    turns ``-0.0`` into 0.0 as the reduction's start from 0.0 does.
     """
+    lengths = stops - starts
     out = np.empty((len(starts), m.shape[1]))
-    for row, lo, hi in zip(out, starts.tolist(), stops.tolist()):
-        np.add.reduce(m[lo:hi], axis=0, out=row)
-    out /= (stops - starts)[:, None]
+    one = lengths == 1
+    out[one] = m[starts[one]] + 0.0
+    longer = np.flatnonzero(~one)
+    for row, lo, hi in zip(longer.tolist(), starts[longer].tolist(), stops[longer].tolist()):
+        np.add.reduce(m[lo:hi], axis=0, out=out[row])
+    out /= lengths[:, None]
     return out
 
 

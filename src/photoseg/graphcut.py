@@ -207,7 +207,8 @@ def labeling_energy(labels: np.ndarray, unary_ac: np.ndarray, unary_adw: np.ndar
     return total + params.pairwise_weight * pair
 
 
-def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> np.ndarray:
+def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams,
+                   pair_tables: dict | None = None) -> np.ndarray:
     """Exact minimum-energy monotone labeling for any radius.
 
     In a monotone labeling, frames j < t disagree exactly when a switch
@@ -219,13 +220,21 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> n
     lower label, a stay ages the state by one, and age r - 1, past which
     a frame pays nothing more, absorbs. At radius 1 that is one state per
     label, paying the adjacent pair on a switch.
+
+    ``pair_tables``, when given, maps r to this stream's read-only
+    :func:`_pair_energies` table; a missing one is built and stored there.
     """
     n, num_labels = mixed.shape
     if n == 1:
         return np.array([int(np.argmin(mixed[0]))])
     r = min(params.radius, n - 1)
     sizes = _neighbor_sizes(n, r)
-    pairs = _pair_energies(stream, r)
+    pairs = None if pair_tables is None else pair_tables.get(r)
+    if pairs is None:
+        pairs = _pair_energies(stream, r)
+        if pair_tables is not None:
+            pairs.flags.writeable = False
+            pair_tables[r] = pairs
     # term[t, d - 1]: the cost of frames t - d and t disagreeing, summed
     # over both frames' neighborhood averages; pay[t, a] sums it over d > a
     term = np.zeros((n, r))
@@ -234,67 +243,95 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams) -> n
             * (1.0 / sizes[d:] + 1.0 / sizes[:-d])
     pay = np.cumsum(term[:, ::-1], axis=1)[:, ::-1]
 
-    # the buffers below are filled in place, frame by frame
+    # cost[a, l], the best cost of label l at age a, is updated in place
+    # frame by frame, and the switches into label l > 0 go to cost[0, l]
     cost = np.full((r, num_labels), np.inf)
     cost[0] = mixed[0]
-    cand = np.empty_like(cost)
-    # each label's best state; at radius 1, its only one
-    best = cost[0] if r == 1 else np.empty(num_labels)
+    # views made once, not once per frame
+    ages = list(cost)
+    cost_switch, cost_old = cost[0, 1:], ages[-1]
     prefix_best = np.empty(num_labels - 1)
-    cost_young, cost_old = cost[:-1], cost[-1]
-    cand_aged, cand_old, cand_switch = cand[1:], cand[-1], cand[0, 1:]
-    pay_switch, pay_aged = pay[:, 0].tolist(), pay[:, 1:, None]
+    prefix_low = prefix_best[:-1]
+    pay_switch = pay[:, 0].tolist()
     # per frame: which labels hold a strict new minimum of the best
-    # states below the next label (label 0 always does), the best age of
-    # each label (at radius 1, always 0), and whether the absorbing
-    # state stayed
+    # states below the next label (label 0 always does), the first best
+    # age of each label (at radius 1, always 0) in the smallest unsigned
+    # type that holds r - 1, and whether the absorbing state stayed
     new_min = np.empty((n, num_labels - 1), dtype=bool)
     new_min[:, :1] = True
-    back_age = np.zeros((n, num_labels), dtype=np.intp) if r > 1 else None
     stay = np.zeros((n, num_labels), dtype=bool)
+    if r > 1:
+        best = np.empty(num_labels)
+        back_age = np.zeros((n, num_labels), dtype=np.min_scalar_type(r - 1))
+        back_older, older = back_age.view(bool), np.empty(num_labels, dtype=bool)
+        # the state that ages into the absorbing one, and the ages between
+        cost_young, cost_mid, cost_mid_src = ages[-2], cost[1:-1], cost[:-2]
+        pay_old, pay_mid = pay[:, -1].tolist(), pay[:, 1:-1, None]
+    else:
+        # each label's one state is its best, and label 0's always stays
+        best, back_age = ages[0], None
+        stay[:, 0] = True
+    best_low, best_mid = best[:-1], best[1:-1]
+    less, less_equal, minimum = np.less, np.less_equal, np.minimum
     for t in range(1, n):
         if r > 1:
-            cost.argmin(axis=0, out=back_age[t])
-            cost.min(axis=0, out=best)
-            np.add(cost_young, pay_aged[t], out=cand_aged)
+            # an older age wins only when strictly less: argmin's first minimum
+            less(ages[1], ages[0], out=back_older[t])
+            minimum(ages[0], ages[1], out=best)
+            for a in range(2, r):
+                less(ages[a], best, out=older)
+                np.copyto(back_age[t], a, where=older)
+                minimum(best, ages[a], out=best)
         # a switch into label l comes from the best state below l
-        np.minimum.accumulate(best[:-1], out=prefix_best)
-        np.less(best[1:-1], prefix_best[:-1], out=new_min[t, 1:])
-        # label 0 has no label below it to switch from (at radius 1 the
-        # stay below writes this row)
-        cand[0, 0] = np.inf
-        np.add(prefix_best, pay_switch[t], out=cand_switch)
-        np.less_equal(cost_old, cand_old, out=stay[t])
-        np.copyto(cand_old, cost_old, where=stay[t])
-        np.add(cand, mixed[t], out=cost)
+        np.minimum.accumulate(best_low, out=prefix_best)
+        less(best_mid, prefix_low, out=new_min[t, 1:])
+        if r > 1:
+            # every state ages by one, the absorbing one keeping the
+            # cheaper of staying and aging; label 0 has no age 0 to enter
+            cost_young += pay_old[t]
+            less_equal(cost_old, cost_young, out=stay[t])
+            minimum(cost_old, cost_young, out=cost_old)
+            if r > 2:
+                np.add(cost_mid_src, pay_mid[t], out=cost_mid)
+            np.add(prefix_best, pay_switch[t], out=cost_switch)
+            cost[0, 0] = np.inf
+        else:
+            prefix_best += pay_switch[t]
+            less_equal(cost_switch, prefix_best, out=stay[t, 1:])
+            minimum(cost_switch, prefix_best, out=cost_switch)
+        cost += mixed[t]
 
     # walk back: an absorbing state that stayed kept its state, and any
     # other age came from the age below it, or at age 0 from a switch.
     # A switch into a label comes from the first label attaining the
     # prefix minimum below it: the last strict new minimum below it.
-    labels = np.zeros(n, dtype=np.int64)
+    labels = []
     age, label = divmod(int(np.argmin(cost)), num_labels)
     for t in range(n - 1, 0, -1):
-        labels[t] = label
+        labels.append(label)
         if age == r - 1 and stay[t, label]:
             continue
         if age == 0:
-            # the last True below the label; a switch at frame t > 0 never
-            # enters label 0, and if it did the empty slice would raise
-            label -= 1 + int(np.argmax(new_min[t, :label][::-1]))
+            # the last True (byte 1) below the label, which exists: a
+            # switch at frame t > 0 enters a label above 0, and label 0
+            # is always a new minimum
+            label = new_min[t, :label].tobytes().rfind(1)
             age = int(back_age[t, label]) if r > 1 else 0
         else:
             age -= 1
-    labels[0] = label
-    return labels
+    labels.append(label)
+    return np.array(labels[::-1], dtype=np.int64)
 
 
 def minimize_labels(ls: LabelSpace, unary_ac: np.ndarray, unary_adw: np.ndarray,
-                    stream: np.ndarray, params: GcParams) -> np.ndarray:
+                    stream: np.ndarray, params: GcParams, *,
+                    pair_tables: dict | None = None) -> np.ndarray:
     """Minimum-energy monotone labeling, exact at every radius.
 
     Both unary tables must be (n, num_labels) and finite; a NaN or inf
-    entry raises :class:`ValidationError`.
+    entry raises :class:`ValidationError`. ``pair_tables`` is an optional
+    caller-owned dict of this stream's pair-energy tables by effective
+    radius, read or filled by the DP; without it each call builds its own.
     """
     rows = np.asarray(stream, dtype=np.float64)
     n = rows.shape[0]
@@ -302,13 +339,17 @@ def minimize_labels(ls: LabelSpace, unary_ac: np.ndarray, unary_adw: np.ndarray,
         raise ValidationError("unary tables must be (n, num_labels)")
     if not (np.isfinite(unary_ac).all() and np.isfinite(unary_adw).all()):
         raise ValidationError("unary tables must be finite")
-    return _chain_optimum(_mixed_unary(unary_ac, unary_adw, params.unary_mix), rows, params)
+    return _chain_optimum(_mixed_unary(unary_ac, unary_adw, params.unary_mix), rows, params,
+                          pair_tables)
 
 
 def minimize(ls: LabelSpace, unary_ac: np.ndarray, unary_adw: np.ndarray,
-             stream: np.ndarray, params: GcParams) -> Segmentation:
-    """Final fused segmentation: maximal runs of equal optimal labels."""
-    labels = minimize_labels(ls, unary_ac, unary_adw, stream, params)
+             stream: np.ndarray, params: GcParams, *,
+             pair_tables: dict | None = None) -> Segmentation:
+    """Final fused segmentation: maximal runs of equal optimal labels;
+    ``pair_tables`` as in :func:`minimize_labels`."""
+    labels = minimize_labels(ls, unary_ac, unary_adw, stream, params,
+                             pair_tables=pair_tables)
     return Segmentation.from_labels(labels)
 
 

@@ -258,9 +258,11 @@ def run_pipeline(features: FeatureStream,
     are fixed (``agglo``, ``adwin`` and ``gc`` act after fusion). The
     agglomerative merge tables are stored under that key and ``linkage``:
     :func:`cluster_frames` builds one in the run of the first cutoff that
-    needs it, and every other cutoff only cuts it. The previous run's
-    unary tables are reused when that key, both candidates' parameters
-    and ``softmax_temp`` match. A memo refuses,
+    needs it, and every other cutoff only cuts it. The chain DP's
+    pair-energy tables are stored under that key by effective radius:
+    :func:`minimize` builds one in the first run that needs it. The
+    previous run's unary tables are reused when that key, both
+    candidates' parameters and ``softmax_temp`` match. A memo refuses,
     with :class:`ValidationError`, a run on other ``features``,
     ``detections`` or ``provider`` objects than its first. Features and
     detections are immutable; a provider changed in place goes unseen.
@@ -305,7 +307,9 @@ def run_pipeline(features: FeatureStream,
     # the label space is a function of the fused matrix and both candidates
     unary_ac, unary_adw = _unaries(
         memo, (key, config.agglo, config.adwin, config.gc.softmax_temp), ls, fused, config.gc)
-    final = _stage("graphcut", minimize, ls, unary_ac, unary_adw, fused, config.gc)
+    # the pair-energy tables by effective radius of this fused matrix
+    final = _stage("graphcut", minimize, ls, unary_ac, unary_adw, fused, config.gc,
+                   pair_tables=memo.setdefault((key, "pair tables"), {}))
 
     return PipelineResult(
         segmentation=final,
@@ -343,9 +347,12 @@ def grid_search(features: FeatureStream,
     top-level config values and candidate parameters, and reused by every
     configuration that shares them; the agglomerative merge table is
     built once per distinct top-level config values and ``linkage``, and
-    each cutoff only cuts it; consecutive configurations that share both
-    candidates and ``softmax_temp`` also share one pair of unary tables
-    (``memo`` of :func:`run_pipeline`). Nothing is kept across calls.
+    each cutoff only cuts it; the chain DP's pair-energy table is built
+    once per distinct top-level config values and effective radius, and
+    read by every other configuration that shares them; consecutive
+    configurations that share both candidates and ``softmax_temp`` also
+    share one pair of unary tables (``memo`` of :func:`run_pipeline`).
+    Nothing is kept across calls.
     """
     if not config.grid:
         raise ValidationError("configuration declares no grid")

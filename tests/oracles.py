@@ -7,10 +7,10 @@ monotone labelings. Keep these naive; their value is that they share no
 shortcuts with the library.
 
 The loop references for the chain minimiser (``per_pair_labeling_energy``,
-``prefix_scan_chain_optimum``) are the exception: they call the library's
-own pair-energy primitives, because they pin its radius-1 labels and its
-energies bit for bit rather than check the optimum, which the exhaustive
-enumeration does at every radius. So are the inline unit-row forms and the
+``prefix_scan_chain_optimum``, ``reduction_chain_optimum``) are the
+exception: they call the library's own pair-energy primitives, because
+they pin its labels and its energies bit for bit rather than check the
+optimum, which the exhaustive enumeration does at every radius. So are the inline unit-row forms and the
 tree-walking dendrogram cut below, kept verbatim from before the library
 shared one ``unit_rows`` helper and cut through connected components,
 that helper's own form from before it took its norms in row blocks, the
@@ -18,7 +18,8 @@ BLAS scalar cosine from before every cosine went through it, and the
 triangle-layout merge loop from before merged nodes' slots were reused
 (it shares the library's Lance-Williams update), and the one-``mean``-per-
 segment centroids, one-``mean``-per-label k-means centres and per-
-detection feature loop from before those went through one table: the
+detection feature loop from before those went through one table, and
+the ``sign * sqrt`` contextual root from before it took one buffer: the
 tests compare the library's bytes, partitions and values against them.
 """
 
@@ -30,7 +31,8 @@ import math
 import numpy as np
 
 from photoseg.agglo import _lw_update
-from photoseg.graphcut import _neighbor_sizes, pairwise_energy
+from photoseg.fusion import unit_rows
+from photoseg.graphcut import _neighbor_sizes, _pair_energies, pairwise_energy
 
 
 # ------------------------------------------------------- consistency errors
@@ -466,6 +468,88 @@ def prefix_scan_chain_optimum(mixed, stream, params):
     for i in range(n - 1, 0, -1):
         labels[i - 1] = back[i, labels[i]]
     return labels
+
+
+def reduction_chain_optimum(mixed, stream, params):
+    """``graphcut._chain_optimum`` as it was with axis-0 reductions: the
+    best age by ``argmin``/``min`` over an (r, L) buffer, intp back
+    pointers, and a separate candidate buffer; the labels the library
+    must give, byte for byte, at every radius."""
+    n, num_labels = mixed.shape
+    if n == 1:
+        return np.array([int(np.argmin(mixed[0]))])
+    r = min(params.radius, n - 1)
+    sizes = _neighbor_sizes(n, r)
+    pairs = _pair_energies(stream, r)
+    # term[t, d - 1]: the cost of frames t - d and t disagreeing, summed
+    # over both frames' neighborhood averages; pay[t, a] sums it over d > a
+    term = np.zeros((n, r))
+    for d in range(1, r + 1):
+        term[d:, d - 1] = params.pairwise_weight * pairs[d:, r - d] \
+            * (1.0 / sizes[d:] + 1.0 / sizes[:-d])
+    pay = np.cumsum(term[:, ::-1], axis=1)[:, ::-1]
+
+    # the buffers below are filled in place, frame by frame
+    cost = np.full((r, num_labels), np.inf)
+    cost[0] = mixed[0]
+    cand = np.empty_like(cost)
+    # each label's best state; at radius 1, its only one
+    best = cost[0] if r == 1 else np.empty(num_labels)
+    prefix_best = np.empty(num_labels - 1)
+    cost_young, cost_old = cost[:-1], cost[-1]
+    cand_aged, cand_old, cand_switch = cand[1:], cand[-1], cand[0, 1:]
+    pay_switch, pay_aged = pay[:, 0].tolist(), pay[:, 1:, None]
+    # per frame: which labels hold a strict new minimum of the best
+    # states below the next label (label 0 always does), the best age of
+    # each label (at radius 1, always 0), and whether the absorbing
+    # state stayed
+    new_min = np.empty((n, num_labels - 1), dtype=bool)
+    new_min[:, :1] = True
+    back_age = np.zeros((n, num_labels), dtype=np.intp) if r > 1 else None
+    stay = np.zeros((n, num_labels), dtype=bool)
+    for t in range(1, n):
+        if r > 1:
+            cost.argmin(axis=0, out=back_age[t])
+            cost.min(axis=0, out=best)
+            np.add(cost_young, pay_aged[t], out=cand_aged)
+        # a switch into label l comes from the best state below l
+        np.minimum.accumulate(best[:-1], out=prefix_best)
+        np.less(best[1:-1], prefix_best[:-1], out=new_min[t, 1:])
+        # label 0 has no label below it to switch from (at radius 1 the
+        # stay below writes this row)
+        cand[0, 0] = np.inf
+        np.add(prefix_best, pay_switch[t], out=cand_switch)
+        np.less_equal(cost_old, cand_old, out=stay[t])
+        np.copyto(cand_old, cost_old, where=stay[t])
+        np.add(cand, mixed[t], out=cost)
+
+    # walk back: an absorbing state that stayed kept its state, and any
+    # other age came from the age below it, or at age 0 from a switch.
+    # A switch into a label comes from the first label attaining the
+    # prefix minimum below it: the last strict new minimum below it.
+    labels = np.zeros(n, dtype=np.int64)
+    age, label = divmod(int(np.argmin(cost)), num_labels)
+    for t in range(n - 1, 0, -1):
+        labels[t] = label
+        if age == r - 1 and stay[t, label]:
+            continue
+        if age == 0:
+            # the last True below the label; a switch at frame t > 0 never
+            # enters label 0, and if it did the empty slice would raise
+            label -= 1 + int(np.argmax(new_min[t, :label][::-1]))
+            age = int(back_age[t, label]) if r > 1 else 0
+        else:
+            age -= 1
+    labels[0] = label
+    return labels
+
+
+def sign_root_normalize(x):
+    """``fusion.signed_root_normalize`` as ``sign(x) * sqrt(|x|)`` in
+    whole temporaries, then the library's unit rows."""
+    arr = np.asarray(x, dtype=np.float64)
+    rooted = np.sign(arr) * np.sqrt(np.abs(arr))
+    return unit_rows(np.atleast_2d(rooted)).reshape(rooted.shape)
 
 
 def mean_method_centroids(seg, atomic, rows):

@@ -276,6 +276,22 @@ class TestIntegralIndices:
         assert seg == Segmentation(10, (0, 4, 7, 8))
         assert all(type(s) is int for s in (seg.n, *seg.starts))
 
+    def test_one_converted_start_among_plain_ints(self):
+        # plain ints skip the per-start check; any other start sends the
+        # whole tuple through it
+        plain = tuple(range(0, 400, 4))
+        for odd in (np.int64(401), np.uint16(401), 401.0, np.float32(401.0)):
+            seg = Segmentation(402, list(plain) + [odd])
+            assert seg.starts == plain + (int(odd),)
+            assert all(type(s) is int for s in seg.starts)
+
+    @pytest.mark.parametrize("odd", [True, False, 401.5, np.float64(401.5), np.bool_(True)])
+    def test_bool_and_fractional_starts_among_plain_ints_rejected(self, odd):
+        with pytest.raises(ValidationError, match="segment start must be an integer"):
+            Segmentation(402, tuple(range(0, 400, 4)) + (odd,))
+        with pytest.raises(ValidationError, match="segment start must be an integer"):
+            Segmentation(402, (odd,) if isinstance(odd, (bool, np.bool_)) else (0, odd))
+
     @pytest.mark.parametrize("body", ['{"n": 10.5, "starts": [0]}',
                                       '{"n": "ten", "starts": [0]}',
                                       '{"n": 10, "starts": [0, 1.7]}',

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from photoseg.datamodel import ValidationError
-from photoseg.fusion import BLOCK_ROWS, fuse, signed_root_normalize, unit_rows
+from photoseg.fusion import BLOCK_ROWS, fuse, signed_root_normalize, slice_means, unit_rows
 
-from oracles import norm_unit_rows
+from oracles import norm_unit_rows, sign_root_normalize
 
 # 2 / sqrt(8), by hand
 ROOT_HALF = 0.7071067811865476
@@ -38,6 +38,50 @@ class TestSignedRootNormalize:
         out = signed_root_normalize(m)
         np.testing.assert_allclose(out[0], [ROOT_HALF, 0.0, -ROOT_HALF], atol=1e-12)
         np.testing.assert_array_equal(out[1], np.zeros(3))
+
+
+    def test_bitwise_equal_to_sign_times_root(self):
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(40, 9))
+        m[::7] = -0.0
+        m[1, :4] = [-0.0, 0.0, 5e-324, -2.2e-310]
+        m[2] = np.ldexp(rng.normal(size=9), -1060)   # subnormal rows
+        m[3:20] *= 1e150
+        m[20:35] *= 1e-150
+        for x in (m, m[5], m[0], np.array([-0.0, 1.0]), np.array([[-0.0, -0.0]])):
+            assert signed_root_normalize(x).tobytes() == sign_root_normalize(x).tobytes()
+
+    def test_input_is_not_written(self):
+        m = np.array([[-4.0, 9.0], [-0.0, 1.0]])
+        signed_root_normalize(m)
+        assert m.tobytes() == np.array([[-4.0, 9.0], [-0.0, 1.0]]).tobytes()
+
+
+class TestSliceMeans:
+    """Against one ``mean`` per slice, byte for byte."""
+
+    @staticmethod
+    def _check(m, stops):
+        starts = np.concatenate(([0], stops[:-1]))
+        want = np.array([m[a:b].mean(axis=0) for a, b in zip(starts, stops)])
+        assert slice_means(m, starts, stops).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_equals_one_mean_per_slice(self, scale):
+        rng = np.random.default_rng(5)
+        n = 50
+        m = rng.normal(size=(n, 6)) * scale
+        m[rng.random(n) < 0.2] = -0.0
+        m[rng.random(m.shape) < 0.1] = -0.0
+        every = np.arange(1, n + 1)
+        mixed = np.array([1, 2, 5, 6, 7, 15, 16, 30, 31, 49, 50])
+        for stops in (every, np.array([n]), mixed):
+            self._check(m, stops)
+
+    def test_one_row_slices_of_negative_zero_give_zero(self):
+        m = np.full((3, 2), -0.0)
+        assert not np.signbit(slice_means(m, np.arange(3), np.arange(1, 4))).any()
+        self._check(m, np.array([1, 3]))
 
 
 class TestFuse:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from photoseg import graphcut
 from photoseg.datamodel import Segmentation, ValidationError
 from photoseg.fusion import BLOCK_ROWS
 from photoseg.graphcut import (
@@ -29,6 +30,7 @@ from oracles import (
     mean_method_centroids,
     per_pair_labeling_energy,
     prefix_scan_chain_optimum,
+    reduction_chain_optimum,
 )
 
 E_MINUS_1 = 0.36787944117144233
@@ -476,6 +478,19 @@ class TestMemory:
         peak = _peak_bytes(minimize_labels, ls, u_ac, u_adw, stream, GcParams(radius=radius))
         assert peak < 4 * cells * 8
 
+    def test_one_byte_age_pointers_with_a_shared_pair_table(self):
+        # with the pair table built beforehand, the radius-2 peak is the
+        # mixed table and three one-byte tables; intp age pointers would
+        # add another whole table of floats
+        ls, stream = _sweep_sized_label_space()
+        u_ac, u_adw = unary_energies(ls, stream, GcParams())
+        cells = stream.shape[0] * ls.num_labels
+        params = GcParams(radius=2)
+        tables = {2: _pair_energies(stream, 2)}
+        peak = _peak_bytes(lambda: minimize_labels(ls, u_ac, u_adw, stream, params,
+                                                   pair_tables=tables))
+        assert peak < 1.75 * cells * 8
+
 
 class TestBlockEdges:
     def test_pair_table_equals_per_pair_calls_across_blocks(self):
@@ -533,3 +548,57 @@ class TestFewLabels:
             got = labeling_energy(labels, mixed, zeros, stream, params)
             want, _ = brute_force_min_labeling(mixed, stream, w2, radius)
             assert got == pytest.approx(want, abs=1e-9)
+
+
+class TestAgainstReductionDp:
+    """The frame loop's pairwise comparisons and one-byte age pointers
+    give the labels of the DP that took argmin and min over the ages."""
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_labels_byte_equal(self, radius):
+        rng = np.random.default_rng(71 + radius)
+        for case in range(160):
+            # n <= radius, one label and two labels all come up
+            n = int(rng.integers(1, 16))
+            num_labels = 1 + case % 2 if case % 4 < 2 else int(rng.integers(3, 8))
+            # integer-valued unaries tie often
+            mixed = rng.integers(0, 3, size=(n, num_labels)) * 1.0 if case % 3 == 0 \
+                else rng.uniform(0, 5, size=(n, num_labels))
+            stream = rng.normal(size=(n, 3))
+            # without pair costs, a label's ages tie as well
+            w2 = 0.0 if case % 5 < 2 else float(rng.uniform(0, 1))
+            params = GcParams(unary_mix=0.0, pairwise_weight=w2, radius=radius)
+            got = _chain_optimum(mixed, stream, params)
+            assert got.tobytes() == reduction_chain_optimum(mixed, stream, params).tobytes()
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_labels_byte_equal_switching_at_nearly_every_frame(self, radius):
+        rng = np.random.default_rng(79 + radius)
+        n = 60
+        mixed = rng.uniform(6.0, 8.0, size=(n, n))
+        mixed[np.arange(n), np.arange(n)] = rng.uniform(0.0, 0.5, size=n)
+        stream = rng.normal(size=(n, 4))
+        params = GcParams(unary_mix=0.0, pairwise_weight=0.3, radius=radius)
+        got = _chain_optimum(mixed, stream, params)
+        assert got.tobytes() == reduction_chain_optimum(mixed, stream, params).tobytes()
+        assert np.count_nonzero(np.diff(got)) > 0.9 * n
+
+    def test_pair_tables_are_shared_by_effective_radius(self, monkeypatch):
+        rng = np.random.default_rng(83)
+        built = []
+
+        def recorded(stream, radius):
+            built.append(radius)
+            return _pair_energies(stream, radius)
+
+        monkeypatch.setattr(graphcut, "_pair_energies", recorded)
+        mixed, stream = rng.uniform(0, 5, size=(4, 3)), rng.normal(size=(4, 3))
+        tables = {}
+        for radius in (1, 2, 3, 5, 1, 2):
+            params = GcParams(unary_mix=0.0, radius=radius)
+            shared = _chain_optimum(mixed, stream, params, tables)
+            assert shared.tobytes() == reduction_chain_optimum(mixed, stream, params).tobytes()
+        # radius 5 is radius 3 on four frames
+        assert built == [1, 2, 3]
+        assert sorted(tables) == [1, 2, 3]
+        assert not any(t.flags.writeable for t in tables.values())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from photoseg import agglo as agglo_module
+from photoseg import graphcut as graphcut_module
 from photoseg import pipeline
 from photoseg.adwin import rescale_to_unit
 from photoseg.datamodel import FeatureStream, Segmentation, ValidationError
@@ -317,8 +318,15 @@ class TestGridSearchReuse:
             merges.append((linkage, list(open_agglo)))
             return merge(dist, linkage, **kwargs)
 
+        pair_tables, pair = [], graphcut_module._pair_energies
+
+        def recorded_pair(stream, radius):
+            pair_tables.append((stream.tobytes(), radius))
+            return pair(stream, radius)
+
         monkeypatch.setattr(pipeline, "cluster_frames", nested_agglo)
         monkeypatch.setattr(agglo_module, "linkage_merge_sequence", recorded_merge)
+        monkeypatch.setattr(graphcut_module, "_pair_energies", recorded_pair)
         grid_search(stream, det, gt, config)
         configs = [args[2] for args, _, _ in runs]
         fused = [result.fused.tobytes() for _, _, result in runs]
@@ -346,9 +354,30 @@ class TestGridSearchReuse:
         key_changes = 1 + sum(a != b for a, b in zip(unary_keys, unary_keys[1:]))
         assert len(unary) == key_changes == len(set(unary_keys)) == 32
         assert not any(t.flags.writeable for a, _, _ in minimized for t in a[1:3])
+        # one pair-energy table per distinct fused matrix (4: blend x
+        # bandwidth) and radius, shared by every candidate pair and mix
+        assert len(set(pair_tables)) == len(pair_tables) == 8
+        assert set(pair_tables) == {(f, c.gc.radius) for f, c in zip(fused, configs)}
         # nothing is kept across calls
         grid_search(stream, det, gt, config)
-        assert (len(agglo), len(merges), len(adwin), len(unary)) == (32, 16, 16, 64)
+        assert (len(agglo), len(merges), len(adwin), len(unary), len(pair_tables)) == \
+            (32, 16, 16, 64, 16)
+
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_shared_pair_tables_give_the_fresh_segmentation(self, reuse_day, n):
+        # one memo across radii 1-3 shares its pair tables by effective
+        # radius (at n = 2 every radius is 1; at n = 1 the DP needs none)
+        stream, det, _ = reuse_day
+        features = FeatureStream(stream.contextual[:n])
+        detections = type(det)(frames=det.frames[:n])
+        memo = {}
+        for radius in (1, 2, 3, 1):
+            config = PipelineConfig().override(radius=radius)
+            shared = run_pipeline(features, detections, config, memo=memo)
+            assert shared.segmentation == run_pipeline(features, detections, config).segmentation
+        tables = [v for k, v in memo.items() if k[-1:] == ("pair tables",)]
+        assert len(tables) == 1
+        assert sorted(tables[0]) == {1: [], 2: [1], 40: [1, 2, 3]}[n]
 
     def test_memo_refuses_other_inputs(self, clean_fixture, reuse_day):
         stream, det, _ = clean_fixture
