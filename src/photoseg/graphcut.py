@@ -263,7 +263,9 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams,
     if r > 1:
         best = np.empty(num_labels)
         back_age = np.zeros((n, num_labels), dtype=np.min_scalar_type(r - 1))
-        back_older, older = back_age.view(bool), np.empty(num_labels, dtype=bool)
+        # one-byte ages take the comparison as bool bytes; wider ones cast it
+        back_older = back_age.view(bool) if back_age.itemsize == 1 else back_age
+        older = np.empty(num_labels, dtype=bool)
         # the state that ages into the absorbing one, and the ages between
         cost_young, cost_mid, cost_mid_src = ages[-2], cost[1:-1], cost[:-2]
         pay_old, pay_mid = pay[:, -1].tolist(), pay[:, 1:-1, None]
@@ -272,33 +274,32 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams,
         best, back_age = ages[0], None
         stay[:, 0] = True
     best_low, best_mid = best[:-1], best[1:-1]
-    less, less_equal, minimum = np.less, np.less_equal, np.minimum
     for t in range(1, n):
         if r > 1:
             # an older age wins only when strictly less: argmin's first minimum
-            less(ages[1], ages[0], out=back_older[t])
-            minimum(ages[0], ages[1], out=best)
+            np.less(ages[1], ages[0], out=back_older[t])
+            np.minimum(ages[0], ages[1], out=best)
             for a in range(2, r):
-                less(ages[a], best, out=older)
+                np.less(ages[a], best, out=older)
                 np.copyto(back_age[t], a, where=older)
-                minimum(best, ages[a], out=best)
+                np.minimum(best, ages[a], out=best)
         # a switch into label l comes from the best state below l
         np.minimum.accumulate(best_low, out=prefix_best)
-        less(best_mid, prefix_low, out=new_min[t, 1:])
+        np.less(best_mid, prefix_low, out=new_min[t, 1:])
         if r > 1:
             # every state ages by one, the absorbing one keeping the
             # cheaper of staying and aging; label 0 has no age 0 to enter
             cost_young += pay_old[t]
-            less_equal(cost_old, cost_young, out=stay[t])
-            minimum(cost_old, cost_young, out=cost_old)
+            np.less_equal(cost_old, cost_young, out=stay[t])
+            np.minimum(cost_old, cost_young, out=cost_old)
             if r > 2:
                 np.add(cost_mid_src, pay_mid[t], out=cost_mid)
             np.add(prefix_best, pay_switch[t], out=cost_switch)
             cost[0, 0] = np.inf
         else:
             prefix_best += pay_switch[t]
-            less_equal(cost_switch, prefix_best, out=stay[t, 1:])
-            minimum(cost_switch, prefix_best, out=cost_switch)
+            np.less_equal(cost_switch, prefix_best, out=stay[t, 1:])
+            np.minimum(cost_switch, prefix_best, out=cost_switch)
         cost += mixed[t]
 
     # walk back: an absorbing state that stayed kept its state, and any

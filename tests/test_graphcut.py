@@ -583,6 +583,19 @@ class TestAgainstReductionDp:
         assert got.tobytes() == reduction_chain_optimum(mixed, stream, params).tobytes()
         assert np.count_nonzero(np.diff(got)) > 0.9 * n
 
+    @pytest.mark.parametrize("num_labels", [1, 2, 3])
+    def test_labels_byte_equal_past_one_byte_ages(self, num_labels):
+        # radius 257 keeps ages up to 256, which need two bytes
+        rng = np.random.default_rng(89 + num_labels)
+        n = 260
+        mixed = rng.uniform(0, 5, size=(n, num_labels))
+        mixed[n // 2:, -1] -= 2.0
+        stream = rng.normal(size=(n, 3))
+        params = GcParams(unary_mix=0.0, pairwise_weight=0.7, radius=257)
+        got = _chain_optimum(mixed, stream, params)
+        assert got.tobytes() == reduction_chain_optimum(mixed, stream, params).tobytes()
+        assert num_labels == 1 or np.diff(got).any()
+
     def test_pair_tables_are_shared_by_effective_radius(self, monkeypatch):
         rng = np.random.default_rng(83)
         built = []
