@@ -51,17 +51,15 @@ from .semantic import FileSimilarityProvider, SemanticVocabulary
 from .synth import SynthSpec, generate
 
 
-# one --<key-with-dashes> flag per flat config key; the grid comes from a
-# file and semantic processing is switched off by --no-semantic instead
-_FLAG_KEYS = tuple(key for key in config_keys() if key not in ("grid", "semantic_enabled"))
+# one --<key-with-dashes> flag per flat config key but the grid, which
+# comes from a file
+_FLAG_KEYS = tuple(key for key in config_keys() if key != "grid")
 
 
 def _load_config(args) -> PipelineConfig:
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     overrides = {key: getattr(args, key) for key in _FLAG_KEYS
                  if getattr(args, key) is not None}
-    if args.no_semantic:
-        overrides["semantic_enabled"] = False
     return config.override(**overrides) if overrides else config
 
 
@@ -74,7 +72,6 @@ def _add_config_flags(sub):
     keys = config_keys()
     for key in _FLAG_KEYS:
         sub.add_argument("--" + key.replace("_", "-"), type=keys[key][0])
-    sub.add_argument("--no-semantic", dest="no_semantic", action="store_true")
 
 
 def _cmd_vocab(args) -> int:
@@ -100,7 +97,7 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    features = load_feature_stream(args.features, format=args.format)
+    features = load_feature_stream(args.features)
     detections = load_concept_detections(args.detections) if args.detections else None
     config = _load_config(args)
     result = run_pipeline(features, detections, config, provider=_provider(args))
@@ -114,9 +111,9 @@ def _cmd_segment(args) -> int:
 def _dump_intermediates(result: PipelineResult, config: PipelineConfig, out: Path) -> None:
     """Write every artifact of a run to ``out`` (``--dump-intermediates``)."""
     out.mkdir(parents=True, exist_ok=True)
-    stamped = {"format_version": 1, **config.to_dict()}
+    # the file re-runs the run through --config
     with (out / "config.json").open("w") as fh:
-        json.dump(stamped, fh, sort_keys=True, indent=2)
+        json.dump(config.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
     save_segmentation(result.seg_ac, out / "candidate_agglomerative.json")
     save_segmentation(result.seg_adw, out / "candidate_adwin.json")
@@ -146,7 +143,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_gridsearch(args) -> int:
-    features = load_feature_stream(args.features, format=args.format)
+    features = load_feature_stream(args.features)
     detections = load_concept_detections(args.detections) if args.detections else None
     gt = load_segmentation(args.gt)
     config = _load_config(args)
@@ -197,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_featurize)
 
     p = sub.add_parser("segment", help="run the full segmentation pipeline")
-    p.add_argument("features", help="contextual feature file")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p.add_argument("features", help="contextual feature file, CSV or JSON lines")
     p.add_argument("--detections")
     p.add_argument("--similarity")
     p.add_argument("--out", required=True)
@@ -217,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gridsearch", help="sweep hyper-parameters against ground truth")
     p.add_argument("features")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--detections")
     p.add_argument("--similarity")
     p.add_argument("--gt", required=True)

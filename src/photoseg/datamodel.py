@@ -7,7 +7,8 @@ is a value that satisfies its invariants.
 File formats
 ------------
 contextual features   CSV (one frame per row) or JSON lines
-                      ``{"id": ..., "vector": [...]}``
+                      ``{"id": ..., "vector": [...]}``, told apart by
+                      the first non-blank line
 concept detections    JSON lines ``{"id": ..., "tags": [{"tag": ...,
                       "confidence": ...}]}``
 segmentation          JSON ``{"n": ..., "starts": [...]}``
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -274,29 +274,24 @@ def _csv_rows(path: Path) -> list[list[float]]:
     return rows
 
 
-def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
+def load_feature_stream(path: str | Path) -> FeatureStream:
     """Load contextual feature vectors, one frame per row.
 
-    ``format`` is ``"csv"`` (numeric columns) or ``"jsonl"`` (objects with
-    an ``id`` and a ``vector``), whose ids become the stream's ``ids``.
-    Row order defines frame order. Raises :class:`ValidationError` on an
-    empty file, text that is not UTF-8, a non-numeric or non-finite cell,
-    a malformed JSON line, or rows of differing or zero width; the
-    non-finite and zero-width errors name the file.
+    The file is JSON lines when its first non-blank line starts with
+    ``{``: objects with an ``id`` and a ``vector``, whose ids become the
+    stream's ``ids``. Otherwise it is CSV with numeric columns. Row order
+    defines frame order. Raises :class:`ValidationError` on a file with no
+    non-blank line, text that is not UTF-8, a non-numeric or non-finite
+    cell, a malformed JSON line, or rows of differing or zero width; the
+    empty, non-UTF-8, non-finite and zero-width errors name the file.
     """
     path = Path(path)
     with _decoding(path):
-        if format == "csv":
-            try:
-                with warnings.catch_warnings():
-                    # an empty file warns here; it is rejected below
-                    warnings.simplefilter("ignore", UserWarning)
-                    rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
-                                      dtype=np.float64)
-            except ValueError:
-                rows = _csv_rows(path)
-            ids = None
-        elif format == "jsonl":
+        with path.open() as fh:
+            first = next((line for line in fh if line.strip()), "")
+        if not first:
+            raise ValidationError(f"empty feature file: {path}")
+        if first.lstrip().startswith("{"):
             rows = []
             ids = []
             with path.open() as fh:
@@ -311,10 +306,14 @@ def load_feature_stream(path: str | Path, format: str = "csv") -> FeatureStream:
                     ids.append(str(obj.get("id", r)))
             ids = tuple(ids)
         else:
-            raise ValidationError(f"unknown feature format {format!r}")
+            try:
+                # loadtxt warns only on a file without data, rejected above
+                rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                                  dtype=np.float64)
+            except ValueError:
+                rows = _csv_rows(path)
+            ids = None
 
-    if len(rows) == 0:
-        raise ValidationError(f"empty feature file: {path}")
     width = len(rows[0])
     for r, row in enumerate(rows):
         if len(row) != width:

@@ -60,7 +60,8 @@ class PipelineConfig:
     """All knobs of the pipeline in one place.
 
     ``grid`` optionally maps flat parameter names (see ``GRID_PARAMS``) to
-    candidate value lists for :func:`grid_search`.
+    candidate value lists for :func:`grid_search`. Whether the semantic
+    half runs is no knob: the inputs decide it (see :func:`run_pipeline`).
     """
 
     vocab_size: int = 100
@@ -68,7 +69,6 @@ class PipelineConfig:
     bandwidth: float = 3.0
     variance_threshold: float = 0.05
     blend: float = 0.5
-    semantic_enabled: bool = True
     agglo: AggloParams = field(default_factory=AggloParams)
     adwin: AdwinParams = field(default_factory=AdwinParams)
     gc: GcParams = field(default_factory=GcParams)
@@ -247,8 +247,9 @@ def run_pipeline(features: FeatureStream,
                  *, memo: Optional[dict] = None) -> PipelineResult:
     """Segment one day-long stream.
 
-    ``detections`` may be None (or semantic processing disabled in the
-    config); the pipeline then runs on contextual features alone. The
+    ``detections``, when given, must have one entry per frame. The
+    pipeline runs on contextual features alone when it is None or no
+    frame has a tag, and adds the semantic features otherwise. The
     similarity provider defaults as in :func:`build_vocabulary`.
 
     ``memo`` holds work shared by runs on the same inputs (see
@@ -275,13 +276,11 @@ def run_pipeline(features: FeatureStream,
     n = features.n
     vocab: Optional[SemanticVocabulary] = None
 
-    use_semantic = config.semantic_enabled and detections is not None
-    if use_semantic and detections.n != n:
+    if detections is not None and detections.n != n:
         raise StageError(
             "semantic", f"feature stream has {n} frames but detections have {detections.n}"
         )
-    if use_semantic and not any(detections.frames):
-        use_semantic = False
+    use_semantic = detections is not None and any(detections.frames)
 
     if use_semantic:
         vocab = build_vocabulary(detections, config, provider)

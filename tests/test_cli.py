@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from photoseg.cli import _load_config, build_parser, main
-from photoseg.datamodel import load_concept_detections, load_feature_stream, load_segmentation
+from photoseg.datamodel import (
+    load_concept_detections,
+    load_feature_stream,
+    load_segmentation,
+    save_feature_stream,
+    save_segmentation,
+)
 from photoseg.evaluate import evaluate_pair
 from photoseg.pipeline import PipelineConfig, config_keys, run_pipeline
 from photoseg.synth import block_spec
@@ -75,6 +81,59 @@ def test_segment_dump_intermediates(fixture_dir, tmp_path):
     assert {"config.json", "candidate_agglomerative.json", "candidate_adwin.json",
             "segmentation.json", "fused_features.csv", "semantic_features.csv",
             "kept_concepts.json", "vocabulary.json"} <= names
+
+
+def test_dumped_config_reruns_the_run(fixture_dir, tmp_path):
+    base = ["segment", str(fixture_dir / "features.csv"),
+            "--detections", str(fixture_dir / "detections.jsonl")]
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([*base, "--cutoff", "0.4", "--vocab-size", "4", "--radius", "2",
+                 "--out", str(tmp_path / "a.json"), "--dump-intermediates", str(first)]) == 0
+    assert main([*base, "--config", str(first / "config.json"),
+                 "--out", str(tmp_path / "b.json"), "--dump-intermediates", str(again)]) == 0
+    for name in ("config.json", "segmentation.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["segment", "gridsearch"])
+def test_feature_format_read_from_the_file(fixture_dir, tmp_path, command):
+    # the same day as CSV and as JSON lines, with no flag naming either
+    jsonl = tmp_path / "features.jsonl"
+    save_feature_stream(load_feature_stream(fixture_dir / "features.csv"), jsonl,
+                        format="jsonl")
+    outputs = []
+    for features in (fixture_dir / "features.csv", jsonl):
+        out = tmp_path / f"{features.suffix[1:]}.out"
+        argv = [command, str(features), "--detections", str(fixture_dir / "detections.jsonl"),
+                "--out", str(out)]
+        if command == "gridsearch":
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"cutoff": [0.2, 0.6], "radius": [1, 2]}))
+            argv += ["--gt", str(fixture_dir / "ground_truth.json"), "--grid", str(grid)]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_segment_without_detections_is_contextual_only(fixture_dir, tmp_path):
+    features = fixture_dir / "features.csv"
+    out, expected = tmp_path / "pred.json", tmp_path / "expected.json"
+    assert main(["segment", str(features), "--out", str(out)]) == 0
+    save_segmentation(run_pipeline(load_feature_stream(features), None).segmentation, expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_wrong_length_detections_exit_2(fixture_dir, tmp_path, capsys):
+    short = tmp_path / "short.jsonl"
+    lines = (fixture_dir / "detections.jsonl").read_text().splitlines(keepends=True)
+    short.write_text("".join(lines[:5]))
+    out = tmp_path / "x.json"
+    rc = main(["segment", str(fixture_dir / "features.csv"), "--detections", str(short),
+               "--out", str(out)])
+    assert rc == 2
+    assert "error: [semantic] feature stream has 45 frames but detections have 5" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_vocab_and_featurize(fixture_dir, tmp_path):
@@ -188,8 +247,7 @@ def test_validation_errors_exit_2(tmp_path, capsys):
 
     widthless = tmp_path / "widthless.jsonl"
     widthless.write_text('{"id": "a", "vector": []}\n{"id": "b", "vector": []}\n')
-    rc = main(["segment", str(widthless), "--format", "jsonl", "--no-semantic",
-               "--out", str(tmp_path / "x.json")])
+    rc = main(["segment", str(widthless), "--out", str(tmp_path / "x.json")])
     assert rc == 2
     assert f"error: {widthless}: feature vectors have zero width" in capsys.readouterr().err
 
@@ -223,7 +281,7 @@ def test_malformed_detections_exit_2(fixture_dir, tmp_path, line):
 def test_malformed_jsonl_features_exit_2(tmp_path):
     bad = tmp_path / "features.jsonl"
     bad.write_text('{"id": "a", "vector": [1.0, 2.0]}\n{"id": "b", "vector": [3.0,\n')
-    rc = main(["segment", str(bad), "--format", "jsonl", "--out", str(tmp_path / "x.json")])
+    rc = main(["segment", str(bad), "--out", str(tmp_path / "x.json")])
     assert rc == 2
 
 
@@ -345,8 +403,8 @@ def _with_bad_byte(path: Path, text: str) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("case", ["features", "detections", "config", "segmentation",
-                                  "features-directory"])
+@pytest.mark.parametrize("case", ["features", "features-first-byte", "detections", "config",
+                                  "segmentation", "features-directory"])
 def test_unreadable_input_exit_2(fixture_dir, tmp_path, capsys, case):
     features = str(fixture_dir / "features.csv")
     det = str(fixture_dir / "detections.jsonl")
@@ -355,6 +413,7 @@ def test_unreadable_input_exit_2(fixture_dir, tmp_path, capsys, case):
     out = ["--out", str(tmp_path / "x.json")]
     argv = {
         "features": lambda: ["segment", _with_bad_byte(bad, "1,2\n"), *out],
+        "features-first-byte": lambda: ["segment", _with_bad_byte(bad, ""), *out],
         "detections": lambda: ["segment", features, "--detections", _with_bad_byte(
             bad, (fixture_dir / "detections.jsonl").read_text()), *out],
         "config": lambda: ["segment", features, "--detections", det, "--config",
@@ -373,7 +432,7 @@ def test_unreadable_input_exit_2(fixture_dir, tmp_path, capsys, case):
 # to_dict() has always written them
 NON_DEFAULT = {
     "vocab_size": 7, "seed": 3, "bandwidth": 2.5, "variance_threshold": 0.01,
-    "blend": 0.6, "semantic_enabled": False, "linkage": "single", "cutoff": 0.7,
+    "blend": 0.6, "linkage": "single", "cutoff": 0.7,
     "delta": 0.01, "p": 3, "min_subwindow": 4, "unary_mix": 0.3,
     "pairwise_weight": 0.4, "radius": 2, "softmax_temp": 0.2, "tolerance": 6,
     "grid": {"cutoff": [0.4, 0.9]},
@@ -387,18 +446,17 @@ def _parsed_config(*flags):
 class TestConfigSurface:
     def test_every_key_has_a_flag(self):
         for key, value in NON_DEFAULT.items():
-            if key in ("grid", "semantic_enabled"):
+            if key == "grid":
                 continue
             config = _parsed_config("--" + key.replace("_", "-"), str(value))
             assert config.to_dict()[key] == value, key
-        assert _parsed_config("--no-semantic").semantic_enabled is False
 
     def test_existing_flag_spellings_unchanged(self):
         config = _parsed_config(
             "--linkage", "single", "--cutoff", "0.7", "--delta", "0.01",
             "--unary-mix", "0.3", "--pairwise-weight", "0.4", "--blend", "0.6",
             "--bandwidth", "2.5", "--variance-threshold", "0.01", "--softmax-temp", "0.2",
-            "--vocab-size", "7", "--seed", "3", "--no-semantic")
+            "--vocab-size", "7", "--seed", "3")
         assert config == PipelineConfig.from_dict({
             k: v for k, v in NON_DEFAULT.items()
             if k not in ("p", "min_subwindow", "radius", "tolerance", "grid")})

@@ -40,8 +40,8 @@ FILES = {
 COMMANDS = {
     "segment": ["segment", "@features.csv", "--detections", "@detections.jsonl",
                 "--config", "@config.json", "--out", "@out.json"],
-    "segment-jsonl": ["segment", "@features.jsonl", "--format", "jsonl", "--similarity",
-                      "@sims.json", "--detections", "@detections.jsonl", "--out", "@out.json"],
+    "segment-jsonl": ["segment", "@features.jsonl", "--similarity", "@sims.json",
+                      "--detections", "@detections.jsonl", "--out", "@out.json"],
     "evaluate": ["evaluate", "@truth.json", "@truth.json"],
     "gridsearch": ["gridsearch", "@features.csv", "--detections", "@detections.jsonl",
                    "--gt", "@truth.json", "--grid", "@grid.json"],

@@ -110,10 +110,11 @@ class TestFeatureStreamIO:
         with pytest.raises(ValidationError, match="non-numeric"):
             load_feature_stream(path)
 
-    def test_empty_file(self, tmp_path):
+    @pytest.mark.parametrize("text", ["", " \n\t\n", "\r\n  \r\n"])
+    def test_empty_file(self, tmp_path, text):
         path = tmp_path / "feat.csv"
-        path.write_text("")
-        with pytest.raises(ValidationError, match="empty"):
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=re.escape(f"empty feature file: {path}")):
             load_feature_stream(path)
 
     @pytest.mark.parametrize("text", [
@@ -163,9 +164,18 @@ class TestFeatureStreamIO:
         stream = FeatureStream(contextual=np.array([[0.5, 1.0], [2.0, 3.0]]),
                                ids=("img0", "img1"))
         save_feature_stream(stream, path, format="jsonl")
-        loaded = load_feature_stream(path, format="jsonl")
+        loaded = load_feature_stream(path)
         np.testing.assert_array_equal(loaded.contextual, stream.contextual)
         assert loaded.ids == ("img0", "img1")
+
+    def test_json_lines_after_blank_lines(self, tmp_path):
+        # the first non-blank line decides the format, whatever the suffix
+        path = tmp_path / "feat.csv"
+        path.write_text('\n  \n {"id": "a", "vector": [1.5, 2]}\n'
+                        '\n{"id": "b", "vector": [3, -4]}\n')
+        loaded = load_feature_stream(path)
+        assert loaded.ids == ("a", "b")
+        assert loaded.contextual.tobytes() == np.array([[1.5, 2.0], [3.0, -4.0]]).tobytes()
 
     def test_contextual_is_a_read_only_copy(self):
         rows = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -180,16 +190,11 @@ class TestFeatureStreamIO:
         ints = FeatureStream(np.array([[1, 2]]))
         assert ints.contextual.dtype == np.float64
 
-    @pytest.mark.parametrize("direction", ["load", "save"])
-    def test_json_lines_alias_rejected(self, tmp_path, direction):
+    def test_json_lines_alias_rejected(self, tmp_path):
         path = tmp_path / "feat.jsonl"
         stream = FeatureStream(np.array([[0.5, 1.0]]))
-        save_feature_stream(stream, path, format="jsonl")
         with pytest.raises(ValidationError, match="unknown feature format 'json-lines'"):
-            if direction == "load":
-                load_feature_stream(path, format="json-lines")
-            else:
-                save_feature_stream(stream, path, format="json-lines")
+            save_feature_stream(stream, path, format="json-lines")
 
     def test_ids_must_match_rows(self):
         with pytest.raises(ValidationError, match="ids"):
@@ -201,7 +206,7 @@ class TestFeatureStreamIO:
         path = tmp_path / "feat.jsonl"
         path.write_text('{"id": "a", "vector": []}\n')
         with pytest.raises(ValidationError, match=re.escape(f"{path}: feature vectors")):
-            load_feature_stream(path, format="jsonl")
+            load_feature_stream(path)
 
 
 class TestConceptDetectionsIO:

@@ -43,12 +43,6 @@ class TestRunPipeline:
         # orthogonal means separate on contextual features alone
         assert result.segmentation == gt
 
-    def test_semantic_disabled_flag(self, clean_fixture):
-        stream, det, _ = clean_fixture
-        cfg = PipelineConfig().override(semantic_enabled=False)
-        result = run_pipeline(stream, det, cfg)
-        assert result.semantic is None
-
     def test_frame_count_mismatch_names_stage(self, clean_fixture):
         stream, det, _ = clean_fixture
         short = FeatureStream(contextual=stream.contextual[:-1])
@@ -95,8 +89,7 @@ class TestDegenerateInputs:
                 variance_threshold=0.0)).semantic.std(axis=0)
             pruned = run_pipeline(stream, det, PipelineConfig().override(
                 variance_threshold=float(stds.max()) + 1.0))
-            contextual = run_pipeline(stream, det, PipelineConfig().override(
-                semantic_enabled=False))
+            contextual = run_pipeline(stream, None, PipelineConfig())
             assert pruned.kept_concepts == []
             assert pruned.fused.tobytes() == contextual.fused.tobytes()
             assert pruned.segmentation == contextual.segmentation
@@ -137,9 +130,12 @@ class TestConfig:
         back = cfg.to_dict()
         assert back["cutoff"] == 0.9 and back["blend"] == 0.7
 
-    def test_unknown_key_rejected(self):
+    # the inputs, not a key, decide whether the semantic half runs
+    @pytest.mark.parametrize("flat", [{"cutof": 0.9}, {"semantic_enabled": False}],
+                             ids=["misspelt", "semantic-switch"])
+    def test_unknown_key_rejected(self, flat):
         with pytest.raises(ValidationError, match="unknown config keys"):
-            PipelineConfig.from_dict({"cutof": 0.9})
+            PipelineConfig.from_dict(flat)
 
     def test_invalid_nested_value_rejected(self):
         with pytest.raises(ValidationError):
@@ -147,7 +143,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("flat", [
         {"cutoff": "0.4"}, {"delta": True}, {"vocab_size": 10.5}, {"p": "2"},
-        {"semantic_enabled": 1}, {"linkage": 3}, {"grid": ["cutoff"]},
+        {"linkage": 3}, {"grid": ["cutoff"]},
     ])
     def test_mistyped_value_rejected(self, flat):
         with pytest.raises(ValidationError, match=f"config value '{next(iter(flat))}'"):
