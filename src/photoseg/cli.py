@@ -35,6 +35,7 @@ from .datamodel import (
     save_feature_stream,
     save_report,
     save_segmentation,
+    write_json_object,
 )
 from .evaluate import MatchParams, evaluate_pair
 from .pipeline import (
@@ -112,9 +113,7 @@ def _dump_intermediates(result: PipelineResult, config: PipelineConfig, out: Pat
     """Write every artifact of a run to ``out`` (``--dump-intermediates``)."""
     out.mkdir(parents=True, exist_ok=True)
     # the file re-runs the run through --config
-    with (out / "config.json").open("w") as fh:
-        json.dump(config.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json_object(out / "config.json", config.to_dict())
     save_segmentation(result.seg_ac, out / "candidate_agglomerative.json")
     save_segmentation(result.seg_adw, out / "candidate_adwin.json")
     save_segmentation(result.segmentation, out / "segmentation.json")

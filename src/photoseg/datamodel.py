@@ -249,14 +249,39 @@ def read_json_object(path: str | Path) -> dict:
     return obj
 
 
-def _parse_json_line(line: str, row: int) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"row {row}: malformed JSON ({exc.msg})") from None
-    if not isinstance(obj, dict):
-        raise ValidationError(f"row {row}: expected a JSON object")
-    return obj
+def write_json_object(path: str | Path, obj: dict) -> None:
+    """Write ``obj`` as JSON with sorted keys, indented by two spaces and
+    ending in a newline: the inverse of :func:`read_json_object`."""
+    with Path(path).open("w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _json_lines(path: str | Path) -> Iterable[tuple[int, str, dict]]:
+    """``(row, id, object)`` per non-blank line of a JSON-lines file. Rows
+    count every line from 0, and an ``id`` defaults to the row number. A
+    malformed line or a non-object raises :class:`ValidationError` naming
+    its row; text that is not UTF-8, one naming the file."""
+    with _decoding(path), Path(path).open() as fh:
+        for r, line in enumerate(fh):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"row {r}: malformed JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise ValidationError(f"row {r}: expected a JSON object")
+            yield r, str(obj.get("id", r)), obj
+
+
+def _write_json_lines(path: str | Path, ids: Optional[Sequence[str]],
+                      bodies: Iterable[dict]) -> None:
+    """Write one JSON object per line: its ``id``, taken from ``ids`` or,
+    when there are none, the row number as a string, then the body's keys."""
+    with Path(path).open("w") as fh:
+        for k, body in enumerate(bodies):
+            fh.write(json.dumps({"id": ids[k] if ids else str(k), **body}) + "\n")
 
 
 def _csv_rows(path: Path) -> list[list[float]]:
@@ -264,13 +289,18 @@ def _csv_rows(path: Path) -> list[list[float]]:
 
     The fallback for files ``np.loadtxt`` refuses: it also reads quoted
     cells and underscores (``"1.0"``, ``1_0``), and its errors name the
-    offending row and column.
+    offending row and column. An error of ``csv`` itself, such as an
+    unclosed quote that outgrows its field size limit, names the row.
     """
-    rows = []
+    rows, r = [], 0
     with path.open(newline="") as fh:
-        for r, record in enumerate(csv.reader(fh)):
-            if record:
-                rows.append([_parse_float(c, r, j) for j, c in enumerate(record)])
+        try:
+            for record in csv.reader(fh):
+                if record:
+                    rows.append([_parse_float(c, r, j) for j, c in enumerate(record)])
+                r += 1
+        except csv.Error as exc:
+            raise ValidationError(f"row {r}: malformed CSV ({exc})") from None
     return rows
 
 
@@ -292,18 +322,13 @@ def load_feature_stream(path: str | Path) -> FeatureStream:
         if not first:
             raise ValidationError(f"empty feature file: {path}")
         if first.lstrip().startswith("{"):
-            rows = []
-            ids = []
-            with path.open() as fh:
-                for r, line in enumerate(fh):
-                    if not line.strip():
-                        continue
-                    obj = _parse_json_line(line, r)
-                    vec = obj.get("vector")
-                    if not isinstance(vec, list):
-                        raise ValidationError(f"row {r}: missing or non-list 'vector' field")
-                    rows.append([_parse_float(str(c), r, j) for j, c in enumerate(vec)])
-                    ids.append(str(obj.get("id", r)))
+            rows, ids = [], []
+            for r, fid, obj in _json_lines(path):
+                vec = obj.get("vector")
+                if not isinstance(vec, list):
+                    raise ValidationError(f"row {r}: missing or non-list 'vector' field")
+                rows.append([_parse_float(str(c), r, j) for j, c in enumerate(vec)])
+                ids.append(fid)
             ids = tuple(ids)
         else:
             try:
@@ -332,10 +357,8 @@ def save_feature_stream(stream: FeatureStream, path: str | Path, format: str = "
             for row in stream.contextual:
                 writer.writerow([repr(float(x)) for x in row])
     elif format == "jsonl":
-        with path.open("w") as fh:
-            for k, row in enumerate(stream.contextual):
-                fid = stream.ids[k] if stream.ids else str(k)
-                fh.write(json.dumps({"id": fid, "vector": [float(x) for x in row]}) + "\n")
+        _write_json_lines(path, stream.ids,
+                          ({"vector": [float(x) for x in row]} for row in stream.contextual))
     else:
         raise ValidationError(f"unknown feature format {format!r}")
 
@@ -349,35 +372,24 @@ def load_concept_detections(path: str | Path) -> ConceptDetections:
     :class:`ValidationError` naming its row; a file without frames, or
     text that is not UTF-8, one naming the file.
     """
-    frames: list[tuple[tuple[str, float], ...]] = []
-    ids: list[str] = []
-    with _decoding(path), Path(path).open() as fh:
-        for r, line in enumerate(fh):
-            if not line.strip():
-                continue
-            obj = _parse_json_line(line, r)
-            try:
-                frames.append(tuple((str(t["tag"]), float(t["confidence"]))
-                                    for t in obj.get("tags", [])))
-            except KeyError as exc:
-                raise ValidationError(f"row {r}: tag entry missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"row {r}: malformed tag entry ({exc})") from None
-            ids.append(str(obj.get("id", r)))
+    frames, ids = [], []
+    for r, fid, obj in _json_lines(path):
+        try:
+            frames.append(tuple((str(t["tag"]), float(t["confidence"]))
+                                for t in obj.get("tags", [])))
+        except KeyError as exc:
+            raise ValidationError(f"row {r}: tag entry missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"row {r}: malformed tag entry ({exc})") from None
+        ids.append(fid)
     if not frames:
         raise ValidationError(f"empty detections file: {path}")
     return ConceptDetections(frames=tuple(frames), ids=tuple(ids))
 
 
 def save_concept_detections(det: ConceptDetections, path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        for k, fr in enumerate(det.frames):
-            fid = det.ids[k] if det.ids else str(k)
-            obj = {
-                "id": fid,
-                "tags": [{"tag": t, "confidence": c} for t, c in fr],
-            }
-            fh.write(json.dumps(obj) + "\n")
+    _write_json_lines(path, det.ids, ({"tags": [{"tag": t, "confidence": c} for t, c in fr]}
+                                      for fr in det.frames))
 
 
 def save_segmentation(seg: Segmentation, path: str | Path) -> None:

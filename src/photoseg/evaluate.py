@@ -74,15 +74,17 @@ def local_refinement_error(seg_a: Segmentation, seg_b: Segmentation, i: int) -> 
     """At frame ``i``, the fraction of A's containing segment that lies
     outside B's containing segment. Zero whenever one segment contains the
     other."""
-    if seg_a.n != seg_b.n:
-        raise ValidationError(f"frame counts disagree: {seg_a.n} vs {seg_b.n}")
+    profile = _local_error_profile(seg_a, seg_b)
     if not 0 <= i < seg_a.n:
         raise ValidationError(f"frame index {i} out of range for n={seg_a.n}")
-    return float(_local_error_profile(seg_a, seg_b)[i])
+    return float(profile[i])
 
 
 def _local_error_profile(seg_a: Segmentation, seg_b: Segmentation) -> np.ndarray:
-    """Vectorized local refinement error at every frame."""
+    """:func:`local_refinement_error` at every frame, as one array. Its
+    frame-count check is the only one its callers have."""
+    if seg_a.n != seg_b.n:
+        raise ValidationError(f"frame counts disagree: {seg_a.n} vs {seg_b.n}")
     bounds_a = np.asarray(seg_a.segments())
     bounds_b = np.asarray(seg_b.segments())
     la = seg_a.labels()
@@ -98,20 +100,14 @@ def gce(seg_a: Segmentation, seg_b: Segmentation) -> float:
     """Global consistency error: refinement must go one way for the whole
     sequence. Symmetric, in [0, 1], zero iff one segmentation refines the
     other everywhere in the same direction."""
-    if seg_a.n != seg_b.n:
-        raise ValidationError(f"frame counts disagree: {seg_a.n} vs {seg_b.n}")
-    e_ab = _local_error_profile(seg_a, seg_b)
-    e_ba = _local_error_profile(seg_b, seg_a)
+    e_ab, e_ba = _local_error_profile(seg_a, seg_b), _local_error_profile(seg_b, seg_a)
     return float(min(e_ab.sum(), e_ba.sum()) / seg_a.n)
 
 
 def lce(seg_a: Segmentation, seg_b: Segmentation) -> float:
     """Local consistency error: refinement direction may flip per frame,
     so LCE(A, B) <= GCE(A, B) always."""
-    if seg_a.n != seg_b.n:
-        raise ValidationError(f"frame counts disagree: {seg_a.n} vs {seg_b.n}")
-    e_ab = _local_error_profile(seg_a, seg_b)
-    e_ba = _local_error_profile(seg_b, seg_a)
+    e_ab, e_ba = _local_error_profile(seg_a, seg_b), _local_error_profile(seg_b, seg_a)
     return float(np.minimum(e_ab, e_ba).sum() / seg_a.n)
 
 

@@ -229,12 +229,11 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams,
         return np.array([int(np.argmin(mixed[0]))])
     r = min(params.radius, n - 1)
     sizes = _neighbor_sizes(n, r)
-    pairs = None if pair_tables is None else pair_tables.get(r)
-    if pairs is None:
-        pairs = _pair_energies(stream, r)
-        if pair_tables is not None:
-            pairs.flags.writeable = False
-            pair_tables[r] = pairs
+    tables = {} if pair_tables is None else pair_tables
+    if r not in tables:
+        tables[r] = _pair_energies(stream, r)
+        tables[r].flags.writeable = False
+    pairs = tables[r]
     # term[t, d - 1]: the cost of frames t - d and t disagreeing, summed
     # over both frames' neighborhood averages; pay[t, a] sums it over d > a
     term = np.zeros((n, r))
@@ -249,7 +248,7 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams,
     cost[0] = mixed[0]
     # views made once, not once per frame
     ages = list(cost)
-    cost_switch, cost_old = cost[0, 1:], ages[-1]
+    cost_switch = cost[0, 1:]
     prefix_best = np.empty(num_labels - 1)
     prefix_low = prefix_best[:-1]
     pay_switch = pay[:, 0].tolist()
@@ -266,13 +265,14 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams,
         # one-byte ages take the comparison as bool bytes; wider ones cast it
         back_older = back_age.view(bool) if back_age.itemsize == 1 else back_age
         older = np.empty(num_labels, dtype=bool)
-        # the state that ages into the absorbing one, and the ages between
-        cost_young, cost_mid, cost_mid_src = ages[-2], cost[1:-1], cost[:-2]
-        pay_old, pay_mid = pay[:, -1].tolist(), pay[:, 1:-1, None]
+        # the absorbing state is entered by aging the state below it
+        enter, pay_enter, kept, stay_kept = ages[-2], pay[:, -1].tolist(), ages[-1], stay
+        cost_mid, cost_mid_src, pay_mid = cost[1:-1], cost[:-2], pay[:, 1:-1, None]
     else:
-        # each label's one state is its best, and label 0's always stays
+        # each label's one state is its best and absorbs, entered by a switch
         best, back_age = ages[0], None
-        stay[:, 0] = True
+        enter, pay_enter, kept, stay_kept = prefix_best, pay_switch, cost_switch, stay[:, 1:]
+        stay[:, 0] = True  # label 0 always stays
     best_low, best_mid = best[:-1], best[1:-1]
     for t in range(1, n):
         if r > 1:
@@ -286,20 +286,16 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams,
         # a switch into label l comes from the best state below l
         np.minimum.accumulate(best_low, out=prefix_best)
         np.less(best_mid, prefix_low, out=new_min[t, 1:])
+        # the absorbing state keeps the cheaper of staying and entering
+        enter += pay_enter[t]
+        np.less_equal(kept, enter, out=stay_kept[t])
+        np.minimum(kept, enter, out=kept)
         if r > 1:
-            # every state ages by one, the absorbing one keeping the
-            # cheaper of staying and aging; label 0 has no age 0 to enter
-            cost_young += pay_old[t]
-            np.less_equal(cost_old, cost_young, out=stay[t])
-            np.minimum(cost_old, cost_young, out=cost_old)
+            # every other state ages by one; label 0 has no age 0 to enter
             if r > 2:
                 np.add(cost_mid_src, pay_mid[t], out=cost_mid)
             np.add(prefix_best, pay_switch[t], out=cost_switch)
             cost[0, 0] = np.inf
-        else:
-            prefix_best += pay_switch[t]
-            np.less_equal(cost_switch, prefix_best, out=stay[t, 1:])
-            np.minimum(cost_switch, prefix_best, out=cost_switch)
         cost += mixed[t]
 
     # walk back: an absorbing state that stayed kept its state, and any

@@ -18,14 +18,13 @@ takes a seed and is deterministic given it.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .datamodel import ConceptDetections, ValidationError, read_json_object
+from .datamodel import ConceptDetections, ValidationError, read_json_object, write_json_object
 from .fusion import slice_means, unit_rows
 
 # seeded k-means runs per spectral clustering; the least distortion wins
@@ -216,9 +215,7 @@ class SemanticVocabulary:
                 for cl in self.clusters
             ]
         }
-        with Path(path).open("w") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json_object(path, obj)
 
     @classmethod
     def load(cls, path: str | Path) -> "SemanticVocabulary":

@@ -12,7 +12,6 @@ spec yields bit-identical output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .datamodel import (
     Segmentation,
     ValidationError,
     read_json_object,
+    write_json_object,
 )
 
 
@@ -100,9 +100,7 @@ class SynthSpec:
                 for s in self.segments
             ],
         }
-        with Path(path).open("w") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json_object(path, obj)
 
 
 def generate(spec: SynthSpec) -> tuple[FeatureStream, ConceptDetections, Segmentation]:

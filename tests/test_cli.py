@@ -285,6 +285,16 @@ def test_malformed_jsonl_features_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_unsplittable_csv_exit_2(tmp_path, capsys):
+    # an unclosed quote runs past csv's field size limit
+    bad = tmp_path / "features.csv"
+    bad.write_text('1,2\n3,"4\n' + "5,6\n" * 40_000)
+    rc = main(["segment", str(bad), "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: row 1: malformed CSV")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_malformed_segmentation_exit_2(fixture_dir, tmp_path):
     bad = tmp_path / "pred.json"
     bad.write_text('{"n": 45, "starts": [0, 15,\n')

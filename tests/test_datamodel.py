@@ -16,9 +16,11 @@ from photoseg.datamodel import (
     load_feature_stream,
     load_report,
     load_segmentation,
+    read_json_object,
     save_concept_detections,
     save_feature_stream,
     save_segmentation,
+    write_json_object,
 )
 
 
@@ -196,6 +198,13 @@ class TestFeatureStreamIO:
         with pytest.raises(ValidationError, match="unknown feature format 'json-lines'"):
             save_feature_stream(stream, path, format="json-lines")
 
+    def test_csv_error_names_the_row(self, tmp_path):
+        # the stray quote opens a field that outgrows csv's field size limit
+        path = tmp_path / "feat.csv"
+        path.write_text('1,2\n3,"4\n' + "5,6\n" * 40_000)
+        with pytest.raises(ValidationError, match=r"^row 1: malformed CSV \(field larger"):
+            load_feature_stream(path)
+
     def test_ids_must_match_rows(self):
         with pytest.raises(ValidationError, match="ids"):
             FeatureStream(contextual=np.zeros((2, 3)), ids=("a",))
@@ -247,6 +256,73 @@ class TestConceptDetectionsIO:
     def test_unique_tags_sorted(self):
         det = ConceptDetections(frames=((("b", 0.5),), (("a", 0.2), ("b", 0.1))))
         assert det.unique_tags() == ["a", "b"]
+
+
+# Both JSON-lines loaders share one row format; every case runs on each.
+JSON_LINE_LOADERS = pytest.mark.parametrize(
+    "load", [load_feature_stream, load_concept_detections], ids=["features", "detections"])
+ROW = '{"vector": [1.5], "tags": []}\n'
+
+
+@JSON_LINE_LOADERS
+class TestJsonLinesRowFormat:
+    def test_whitespace_lines_skipped_but_counted(self, tmp_path, load):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(" \t\n" + ROW + "   \n" + '{"id": "x", "vector": [2], "tags": []}\n'
+                        + "\n" + ROW)
+        assert load(path).ids == ("1", "x", "5")
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"vector": [1.5],\n', "row 2: malformed JSON"),
+        ("[1.5]\n", "row 2: expected a JSON object"),
+    ], ids=["malformed", "not-an-object"])
+    def test_bad_line_names_its_row(self, tmp_path, load, line, message):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(ROW + "  \n" + line + ROW)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load(path)
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path, load):
+        # past the first read buffer, so the rows are being parsed when it fails
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(ROW.encode() * 4000 + b'{"id": "\xff"}\n')
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: not UTF-8 text")):
+            load(path)
+
+    def test_missing_ids_default_to_row_numbers(self, tmp_path, load):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(ROW + '{"id": 7, "vector": [2], "tags": []}\n' + ROW + "\n" + ROW)
+        assert load(path).ids == ("0", "7", "2", "4")
+
+
+@pytest.mark.parametrize("ids, expected", [
+    (None, '{"id": "0", "vector": [0.5, -2.0]}\n{"id": "1", "vector": [3.0, 1e-05]}\n'),
+    (("a", "b"), '{"id": "a", "vector": [0.5, -2.0]}\n{"id": "b", "vector": [3.0, 1e-05]}\n'),
+], ids=["row-numbers", "ids"])
+def test_feature_json_lines_bytes(tmp_path, ids, expected):
+    path = tmp_path / "feat.jsonl"
+    save_feature_stream(FeatureStream(np.array([[0.5, -2.0], [3.0, 1e-5]]), ids=ids), path,
+                        format="jsonl")
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("ids, expected", [
+    (None, '{"id": "0", "tags": [{"tag": "cat", "confidence": 0.5}]}\n{"id": "1", "tags": []}\n'),
+    (("a", "b"), '{"id": "a", "tags": [{"tag": "cat", "confidence": 0.5}]}\n'
+                 '{"id": "b", "tags": []}\n'),
+], ids=["row-numbers", "ids"])
+def test_detection_json_lines_bytes(tmp_path, ids, expected):
+    path = tmp_path / "det.jsonl"
+    save_concept_detections(ConceptDetections(((("cat", 0.5),), ()), ids=ids), path)
+    assert path.read_text() == expected
+
+
+def test_json_object_bytes(tmp_path):
+    path = tmp_path / "doc.json"
+    obj = {"b": [1, 2], "a": {"c": 0.5}}
+    write_json_object(path, obj)
+    assert path.read_text() == '{\n  "a": {\n    "c": 0.5\n  },\n  "b": [\n    1,\n    2\n  ]\n}\n'
+    assert read_json_object(path) == obj
 
 
 class TestEvalReportIO:
