@@ -39,6 +39,8 @@ from .datamodel import (
 )
 from .evaluate import MatchParams, evaluate_pair
 from .pipeline import (
+    FEATURE_KEYS,
+    VOCABULARY_KEYS,
     PipelineConfig,
     PipelineResult,
     build_vocabulary,
@@ -52,14 +54,9 @@ from .semantic import FileSimilarityProvider, SemanticVocabulary
 from .synth import SynthSpec, generate
 
 
-# one --<key-with-dashes> flag per flat config key but the grid, which
-# comes from a file
-_FLAG_KEYS = tuple(key for key in config_keys() if key != "grid")
-
-
 def _load_config(args) -> PipelineConfig:
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    overrides = {key: getattr(args, key) for key in _FLAG_KEYS
+    overrides = {key: getattr(args, key) for key in args.config_flags
                  if getattr(args, key) is not None}
     return config.override(**overrides) if overrides else config
 
@@ -68,11 +65,13 @@ def _provider(args):
     return FileSimilarityProvider.from_file(args.similarity) if args.similarity else None
 
 
-def _add_config_flags(sub):
+def _add_config_flags(sub, keys):
+    # one --<key-with-dashes> flag per flat config key the subcommand reads
     sub.add_argument("--config", help="JSON pipeline configuration file")
-    keys = config_keys()
-    for key in _FLAG_KEYS:
-        sub.add_argument("--" + key.replace("_", "-"), type=keys[key][0])
+    types = config_keys()
+    for key in keys:
+        sub.add_argument("--" + key.replace("_", "-"), type=types[key][0])
+    sub.set_defaults(config_flags=keys)
 
 
 def _cmd_vocab(args) -> int:
@@ -181,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("detections", help="JSON-lines concept detections")
     p.add_argument("--similarity", help="JSON meaning-similarity table")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, VOCABULARY_KEYS)
     p.set_defaults(fn=_cmd_vocab)
 
     p = sub.add_parser("featurize", help="semantic feature matrix from detections")
@@ -189,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--similarity")
     p.add_argument("--vocab", help="reuse a saved vocabulary instead of clustering")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, FEATURE_KEYS)
     p.set_defaults(fn=_cmd_featurize)
 
     p = sub.add_parser("segment", help="run the full segmentation pipeline")
@@ -199,13 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--dump-intermediates", dest="dump_intermediates",
                    help="directory for per-stage artifacts")
-    _add_config_flags(p)
+    # the tolerance only scores, and the grid only sweeps
+    _add_config_flags(p, [key for key in config_keys() if key not in ("tolerance", "grid")])
     p.set_defaults(fn=_cmd_segment)
 
     p = sub.add_parser("evaluate", help="score a segmentation against another")
     p.add_argument("pred")
     p.add_argument("gt")
-    p.add_argument("--tolerance", type=int, default=5)
+    p.add_argument("--tolerance", type=int, default=MatchParams.tolerance)
     p.add_argument("--csv", action="store_true", help="emit a CSV row instead of JSON")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_evaluate)
@@ -217,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--grid", help="JSON file mapping parameter names to value lists")
     p.add_argument("--out", help="CSV output path")
-    _add_config_flags(p)
+    # the grid comes from --grid's file
+    _add_config_flags(p, [key for key in config_keys() if key != "grid"])
     p.set_defaults(fn=_cmd_gridsearch)
 
     p = sub.add_parser("synth", help="generate a synthetic fixture")

@@ -232,21 +232,33 @@ def _decoding(path: str | Path):
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _json_object(text: str, where: str, lineno: bool = False) -> dict:
+    """``text`` as a JSON object. Malformed JSON (at its line when ``lineno``),
+    JSON that Python cannot hold (an integer past its digit limit, nesting
+    past its recursion limit) or another top-level value raise
+    :class:`ValidationError` prefixed with ``where``."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        line = f" at line {exc.lineno}" if lineno else ""
+        raise ValidationError(f"{where}: malformed JSON{line} ({exc.msg})") from None
+    # text is decoded already, so no UnicodeDecodeError (a ValueError) lands here
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{where}: JSON past the parser's limits ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: expected a JSON object")
+    return obj
+
+
 def read_json_object(path: str | Path) -> dict:
     """Parse a JSON file whose top level must be an object.
 
-    Malformed JSON, text that is not UTF-8 and any other top-level value
-    raise :class:`ValidationError` naming the file.
+    Malformed JSON, JSON that Python cannot hold, text that is not UTF-8
+    and any other top-level value raise :class:`ValidationError` naming
+    the file.
     """
     with _decoding(path), Path(path).open() as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"{path}: malformed JSON at line {exc.lineno} ({exc.msg})") from None
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    return obj
+        return _json_object(fh.read(), str(path), lineno=True)
 
 
 def write_json_object(path: str | Path, obj: dict) -> None:
@@ -261,17 +273,13 @@ def _json_lines(path: str | Path) -> Iterable[tuple[int, str, dict]]:
     """``(row, id, object)`` per non-blank line of a JSON-lines file. Rows
     count every line from 0, and an ``id`` defaults to the row number. A
     malformed line or a non-object raises :class:`ValidationError` naming
-    its row; text that is not UTF-8, one naming the file."""
+    its row, as does JSON that Python cannot hold; text that is not UTF-8,
+    one naming the file."""
     with _decoding(path), Path(path).open() as fh:
         for r, line in enumerate(fh):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"row {r}: malformed JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise ValidationError(f"row {r}: expected a JSON object")
+            obj = _json_object(line, f"row {r}")
             yield r, str(obj.get("id", r)), obj
 
 

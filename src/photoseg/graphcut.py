@@ -197,13 +197,15 @@ def labeling_energy(labels: np.ndarray, unary_ac: np.ndarray, unary_adw: np.ndar
     radius = params.radius
     sizes = _neighbor_sizes(n, radius)
     pairs = _pair_energies(np.asarray(stream, dtype=np.float64), radius)
-    pair = 0.0
-    for i in range(n):
-        lo = max(0, i - radius)
-        hi = min(n - 1, i + radius)
-        for j in range(lo, hi + 1):
-            if j != i and labels[j] != labels[i]:
-                pair += pairs[i, j - i + radius] / sizes[i]
+    # j = i + d for every offset d of the pair table's columns
+    j = np.arange(n)[:, None] + np.arange(-radius, radius + 1)
+    inside = (j >= 0) & (j < n)
+    disagree = inside & (labels[np.where(inside, j, 0)] != labels[:, None])
+    # the mask gathers row-major, pair (i, j) after every pair of an
+    # earlier i, and cumsum adds left to right as a loop would; np.sum
+    # adds pairwise, which changes the last bits
+    terms = (pairs / sizes[:, None])[disagree]
+    pair = np.cumsum(terms)[-1] if terms.size else 0.0
     return total + params.pairwise_weight * pair
 
 

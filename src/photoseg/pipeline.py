@@ -72,7 +72,7 @@ class PipelineConfig:
     agglo: AggloParams = field(default_factory=AggloParams)
     adwin: AdwinParams = field(default_factory=AdwinParams)
     gc: GcParams = field(default_factory=GcParams)
-    tolerance: int = 5
+    match: MatchParams = field(default_factory=MatchParams)
     grid: Optional[dict] = None
 
     @classmethod
@@ -215,6 +215,10 @@ def _unaries(memo: dict, key, ls, fused: np.ndarray,
     return tables
 
 
+# the flat config keys build_vocabulary reads
+VOCABULARY_KEYS = ("vocab_size", "seed")
+
+
 def build_vocabulary(detections: ConceptDetections, config: PipelineConfig,
                      provider: Optional[SimilarityProvider] = None) -> SemanticVocabulary:
     """The day's concept vocabulary, as the stage "vocabulary".
@@ -228,6 +232,10 @@ def build_vocabulary(detections: ConceptDetections, config: PipelineConfig,
     prov = provider if provider is not None else ExactMatchProvider()
     graph = _stage("vocabulary", build_concept_graph, detections, prov)
     return _stage("vocabulary", cluster_concepts, graph, config.vocab_size, seed=config.seed)
+
+
+# the flat config keys semantic_features reads, with those of its vocabulary
+FEATURE_KEYS = VOCABULARY_KEYS + ("bandwidth", "variance_threshold")
 
 
 def semantic_features(detections: ConceptDetections, vocab: SemanticVocabulary,
@@ -256,8 +264,9 @@ def run_pipeline(features: FeatureStream,
     :func:`grid_search`); by default a fresh dict. The candidate
     segmentations are stored in it under their own parameters and the
     config's top-level values, which fix the fused matrix when the inputs
-    are fixed (``agglo``, ``adwin`` and ``gc`` act after fusion). The
-    agglomerative merge tables are stored under that key and ``linkage``:
+    are fixed (``agglo``, ``adwin`` and ``gc`` act after fusion, and
+    ``match`` only in :func:`grid_search`'s scoring). The agglomerative
+    merge tables are stored under that key and ``linkage``:
     :func:`cluster_frames` builds one in the run of the first cutoff that
     needs it, and every other cutoff only cuts it. The chain DP's
     pair-energy tables are stored under that key by effective radius:
@@ -366,12 +375,11 @@ def grid_search(features: FeatureStream,
 
     rows: list[GridRow] = []
     memo: dict = {}
-    match = MatchParams(tolerance=config.tolerance)
     for combo in itertools.product(*(config.grid[p] for p in names)):
         overrides = dict(zip(names, combo))
         run_config = config.override(**overrides)
         result = run_pipeline(features, detections, run_config, provider=provider, memo=memo)
-        report = f_measure(result.segmentation, gt, match)
+        report = f_measure(result.segmentation, gt, config.match)
         rows.append(GridRow(params=overrides, report=report))
     rows.sort(key=lambda r: -r.fmeasure)   # stable: ties keep declared order
     return rows

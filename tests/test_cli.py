@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from pathlib import Path
@@ -154,7 +155,9 @@ def test_vocab_and_featurize(fixture_dir, tmp_path):
 def test_vocab_and_featurize_write_the_pipeline_bytes(fixture_dir, tmp_path):
     flags = ["--vocab-size", "4", "--bandwidth", "2.0"]
     detections = str(fixture_dir / "detections.jsonl")
-    assert main(["vocab", detections, "--out", str(tmp_path / "vocab.json"), *flags]) == 0
+    # vocab reads no bandwidth, so it takes no --bandwidth
+    assert main(["vocab", detections, "--out", str(tmp_path / "vocab.json"),
+                 "--vocab-size", "4"]) == 0
     assert main(["featurize", detections, "--out", str(tmp_path / "semantic.csv"), *flags]) == 0
 
     result = run_pipeline(load_feature_stream(fixture_dir / "features.csv"),
@@ -408,6 +411,37 @@ def test_grid_value_not_a_list_exit_2(fixture_dir, tmp_path, capsys, route):
     assert "must be a non-empty list" in capsys.readouterr().err
 
 
+_LONG_INTEGER = "1" + "0" * 5000
+_DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("case", ["features-integer", "features-nesting", "config-integer",
+                                  "config-nesting", "segmentation-integer"])
+def test_json_past_the_parser_limits_exit_2(fixture_dir, tmp_path, capsys, case):
+    # Python's json cannot hold an integer of over 4,300 digits or nesting
+    # past the recursion limit
+    features = str(fixture_dir / "features.csv")
+    gt = str(fixture_dir / "ground_truth.json")
+    bad = tmp_path / "bad"
+    out = ["--out", str(tmp_path / "x.json")]
+    feature_line = {"features-integer": f'{{"id": {_LONG_INTEGER}, "vector": [1.0]}}',
+                    "features-nesting": f'{{"id": 1, "vector": {_DEEP_ARRAY}}}'}
+    config = {"config-integer": f'{{"seed": {_LONG_INTEGER}}}',
+              "config-nesting": f'{{"seed": {_DEEP_ARRAY}}}'}
+    if case in feature_line:
+        bad.write_text(feature_line[case] + "\n")
+        argv, named = ["segment", str(bad), *out], "row 0"
+    elif case in config:
+        bad.write_text(config[case])
+        argv, named = ["segment", features, "--config", str(bad), *out], str(bad)
+    else:
+        bad.write_text(f'{{"n": {_LONG_INTEGER}, "starts": [0]}}')
+        argv, named = ["evaluate", str(bad), gt], str(bad)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {named}: JSON past the parser's limits")
+    assert not (tmp_path / "x.json").exists()
+
+
 def _with_bad_byte(path: Path, text: str) -> str:
     path.write_bytes(text.encode() + b"\xff\n")
     return str(path)
@@ -449,17 +483,45 @@ NON_DEFAULT = {
 }
 
 
-def _parsed_config(*flags):
-    return _load_config(build_parser().parse_args(["segment", "f.csv", "--out", "o.json", *flags]))
+def _parsed_config(*flags, argv=("segment", "f.csv", "--out", "o.json")):
+    return _load_config(build_parser().parse_args([*argv, *flags]))
 
 
 class TestConfigSurface:
     def test_every_key_has_a_flag(self):
+        # gridsearch reads every key; the grid comes from --grid's file
         for key, value in NON_DEFAULT.items():
             if key == "grid":
                 continue
-            config = _parsed_config("--" + key.replace("_", "-"), str(value))
+            config = _parsed_config("--" + key.replace("_", "-"), str(value),
+                                    argv=("gridsearch", "f.csv", "--gt", "gt.json"))
             assert config.to_dict()[key] == value, key
+
+    @pytest.mark.parametrize("command, keys", [
+        ("vocab", {"vocab_size", "seed"}),
+        ("featurize", {"vocab_size", "seed", "bandwidth", "variance_threshold"}),
+        ("segment", set(NON_DEFAULT) - {"tolerance", "grid"}),
+        ("gridsearch", set(NON_DEFAULT) - {"grid"}),
+    ])
+    def test_each_subcommand_has_the_flags_of_the_keys_it_reads(self, command, keys):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        sub = subparsers.choices[command]
+        # gridsearch's --grid names a file of its own, not the config key
+        flags = {a.dest for a in sub._actions if a.dest in config_keys() and a.dest != "grid"}
+        assert flags == keys
+        assert set(sub.get_default("config_flags")) == keys
+
+    @pytest.mark.parametrize("argv", [
+        ["vocab", "d.jsonl", "--out", "o.json", "--cutoff", "0.3"],
+        ["featurize", "d.jsonl", "--out", "o.csv", "--radius", "2"],
+        ["segment", "f.csv", "--out", "o.json", "--tolerance", "3"],
+    ], ids=["vocab-cutoff", "featurize-radius", "segment-tolerance"])
+    def test_flag_a_subcommand_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_existing_flag_spellings_unchanged(self):
         config = _parsed_config(

@@ -275,7 +275,11 @@ class TestJsonLinesRowFormat:
     @pytest.mark.parametrize("line, message", [
         ('{"vector": [1.5],\n', "row 2: malformed JSON"),
         ("[1.5]\n", "row 2: expected a JSON object"),
-    ], ids=["malformed", "not-an-object"])
+        ('{"id": 1' + "0" * 5000 + ', "vector": [1.5], "tags": []}\n',
+         "row 2: JSON past the parser's limits"),
+        ('{"vector": ' + "[" * 200_000 + "]" * 200_000 + "}\n",
+         "row 2: JSON past the parser's limits"),
+    ], ids=["malformed", "not-an-object", "long-integer", "deep-nesting"])
     def test_bad_line_names_its_row(self, tmp_path, load, line, message):
         path = tmp_path / "rows.jsonl"
         path.write_text(ROW + "  \n" + line + ROW)
@@ -315,6 +319,19 @@ def test_detection_json_lines_bytes(tmp_path, ids, expected):
     path = tmp_path / "det.jsonl"
     save_concept_detections(ConceptDetections(((("cat", 0.5),), ()), ids=ids), path)
     assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"seed": 1' + b"0" * 5000 + b"}", "JSON past the parser's limits"),
+    (b'{"seed": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", "JSON past the parser's limits"),
+    (b'{"seed": "\xff"}', "not UTF-8 text"),
+], ids=["long-integer", "deep-nesting", "non-utf8"])
+def test_json_object_python_cannot_hold(tmp_path, data, message):
+    # the limit errors are ValueErrors, as is UnicodeDecodeError; each keeps its message
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+        read_json_object(path)
 
 
 def test_json_object_bytes(tmp_path):

@@ -11,13 +11,17 @@ from photoseg.datamodel import FeatureStream, Segmentation, ValidationError
 from photoseg.evaluate import f_measure
 from photoseg.agglo import LINKAGES, cosine_distance_matrix, linkage_merge_sequence
 from photoseg.pipeline import (
+    FEATURE_KEYS,
     GRID_PARAMS,
+    VOCABULARY_KEYS,
     PipelineConfig,
     StageError,
+    build_vocabulary,
     config_keys,
     grid_rows_to_csv,
     grid_search,
     run_pipeline,
+    semantic_features,
 )
 from photoseg.semantic import ExactMatchProvider
 from photoseg.synth import block_spec, generate
@@ -249,7 +253,8 @@ REUSE_GRID = {"linkage": ["average", "single"], "cutoff": [0.3, 0.6], "delta": [
 
 # one non-default value for every key of a nested parameter class
 NESTED_VALUES = {"linkage": "single", "cutoff": 0.7, "delta": 0.01, "p": 3, "min_subwindow": 4,
-                 "unary_mix": 0.3, "pairwise_weight": 0.4, "radius": 2, "softmax_temp": 0.2}
+                 "unary_mix": 0.3, "pairwise_weight": 0.4, "radius": 2, "softmax_temp": 0.2,
+                 "tolerance": 6}
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +413,22 @@ class TestGridSearchReuse:
             config = PipelineConfig().override(**{key: value})
             assert config.to_dict()[key] != PipelineConfig().to_dict()[key], key
             assert run_pipeline(stream, det, config).fused.tobytes() == fused, key
+
+    def test_stages_before_fusion_read_only_their_keys(self, reuse_day):
+        # the keys the CLI's vocab and featurize take flags for
+        _, det, _ = reuse_day
+        values = {"vocab_size": 3, "seed": 5, "bandwidth": 1.0, "variance_threshold": 0.01,
+                  "blend": 0.7, **NESTED_VALUES}
+        assert set(values) == set(config_keys()) - {"grid"}
+        vocab = build_vocabulary(det, PipelineConfig())
+        matrix = semantic_features(det, vocab, PipelineConfig())[0].tobytes()
+        for key, value in values.items():
+            config = PipelineConfig().override(**{key: value})
+            assert config.to_dict()[key] != PipelineConfig().to_dict()[key], key
+            if key not in VOCABULARY_KEYS:
+                assert build_vocabulary(det, config) == vocab, key
+            if key not in FEATURE_KEYS:
+                assert semantic_features(det, vocab, config)[0].tobytes() == matrix, key
 
     def test_traced_stages_fire_in_every_configuration(self, reuse_day, monkeypatch):
         # the benchmark's tracer (bench/tracing.py, bench/layers.py) wraps
