@@ -13,12 +13,17 @@ concept detections    JSON lines ``{"id": ..., "tags": [{"tag": ...,
                       "confidence": ...}]}``
 segmentation          JSON ``{"n": ..., "starts": [...]}``
 evaluation report     JSON object or a CSV row (see ``report_csv_row``)
+
+A JSON number must be finite (:func:`_as_number`), and an integer must lie
+within int64 (:func:`_as_index`); booleans, strings and ``null`` are not
+numbers. CSV cells are text, parsed by ``float()``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -31,13 +36,29 @@ class ValidationError(ValueError):
     """An input file or constructed value violates its contract."""
 
 
+def _as_number(value, what: str) -> float:
+    """``value`` as a float: finite ints, floats and numpy numbers pass;
+    booleans, strings, None, containers, NaN, infinities and ints too large
+    for a float are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    if isinstance(value, np.generic):
+        value = value.item()   # compared below as a Python number, without numpy's casts
+    if not abs(value) <= sys.float_info.max:   # false for NaN, ±inf and ints past a float
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
 def _as_index(value, what: str) -> int:
-    """``value`` as an int: ints, numpy integers and integral floats pass;
-    fractional, non-finite, boolean and non-numeric values are rejected."""
+    """``value`` as an int within int64: ints, numpy integers and integral
+    floats pass; fractional, non-finite, boolean and non-numeric values are
+    rejected."""
     integral = isinstance(value, (int, np.integer)) or (
         isinstance(value, (float, np.floating)) and float(value).is_integer())
     if not integral or isinstance(value, bool):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if not -2**63 <= int(value) < 2**63:
+        raise ValidationError(f"{what} must be within int64, got {value!r}")
     return int(value)
 
 
@@ -100,7 +121,7 @@ class Segmentation:
 
     @classmethod
     def from_boundaries(cls, n: int, boundaries: Iterable[int]) -> "Segmentation":
-        return cls(n, tuple([0] + sorted(set(int(b) for b in boundaries))))
+        return cls(n, tuple([0] + sorted(set(boundaries))))
 
 
 @dataclass(frozen=True)
@@ -108,18 +129,23 @@ class ConceptDetections:
     """Per-frame (tag, confidence) pairs from an external tagger.
 
     Frames with zero tags are permitted. Within one frame tags are unique
-    and confidences lie in [0, 1].
+    strings and confidences are numbers in [0, 1].
     """
 
     frames: tuple[tuple[tuple[str, float], ...], ...]
     ids: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        frames = tuple(tuple((str(t), float(c)) for t, c in fr) for fr in self.frames)
+        # a float confidence needs only the range test below, which NaN fails
+        frames = tuple(
+            tuple((t, c if type(c) is float else _as_number(c, f"frame {i}: tag {t!r} confidence"))
+                  for t, c in fr) for i, fr in enumerate(self.frames))
         object.__setattr__(self, "frames", frames)
         for i, fr in enumerate(frames):
             seen = set()
             for tag, conf in fr:
+                if not isinstance(tag, str):
+                    raise ValidationError(f"frame {i}: tag {tag!r} is not a string")
                 if tag in seen:
                     raise ValidationError(f"frame {i}: duplicate tag {tag!r}")
                 seen.add(tag)
@@ -187,6 +213,7 @@ class EvalReport:
     """Boundary detection scores plus segmentation consistency errors.
 
     ``gce``/``lce`` are None when only the F-measure half was computed.
+    Counts are integers and every other score a number.
     """
 
     precision: float
@@ -199,6 +226,10 @@ class EvalReport:
     lce: Optional[float] = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value, rule = getattr(self, f.name), _as_index if f.type == "int" else _as_number
+            if value is not None or f.default is not None:   # gce and lce may be None
+                object.__setattr__(self, f.name, rule(value, f"report field {f.name!r}"))
         if min(self.tp, self.fp, self.fn) < 0:
             raise ValidationError("boundary counts must be non-negative")
         if self.gce is not None and self.lce is not None:
@@ -213,13 +244,6 @@ class EvalReport:
 
 
 # ---------------------------------------------------------------- loaders
-
-def _parse_float(cell: str, row: int, col: int) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValidationError(f"row {row}, column {col}: non-numeric cell {cell!r}") from None
-
 
 @contextmanager
 def _decoding(path: str | Path):
@@ -305,7 +329,13 @@ def _csv_rows(path: Path) -> list[list[float]]:
         try:
             for record in csv.reader(fh):
                 if record:
-                    rows.append([_parse_float(c, r, j) for j, c in enumerate(record)])
+                    rows.append(row := [])
+                    for j, cell in enumerate(record):
+                        try:
+                            row.append(float(cell))
+                        except ValueError:
+                            raise ValidationError(
+                                f"row {r}, column {j}: non-numeric cell {cell!r}") from None
                 r += 1
         except csv.Error as exc:
             raise ValidationError(f"row {r}: malformed CSV ({exc})") from None
@@ -335,7 +365,9 @@ def load_feature_stream(path: str | Path) -> FeatureStream:
                 vec = obj.get("vector")
                 if not isinstance(vec, list):
                     raise ValidationError(f"row {r}: missing or non-list 'vector' field")
-                rows.append([_parse_float(str(c), r, j) for j, c in enumerate(vec)])
+                if not all(type(c) is float for c in vec):
+                    vec = [_as_number(c, f"row {r}, column {j}") for j, c in enumerate(vec)]
+                rows.append(vec)
                 ids.append(fid)
             ids = tuple(ids)
         else:
@@ -383,11 +415,10 @@ def load_concept_detections(path: str | Path) -> ConceptDetections:
     frames, ids = [], []
     for r, fid, obj in _json_lines(path):
         try:
-            frames.append(tuple((str(t["tag"]), float(t["confidence"]))
-                                for t in obj.get("tags", [])))
+            frames.append(tuple((t["tag"], t["confidence"]) for t in obj.get("tags", [])))
         except KeyError as exc:
             raise ValidationError(f"row {r}: tag entry missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:   # tags or a tag entry of another JSON type
             raise ValidationError(f"row {r}: malformed tag entry ({exc})") from None
         ids.append(fid)
     if not frames:
@@ -429,10 +460,7 @@ def load_report(path: str | Path) -> EvalReport:
         values = {f.name: obj[f.name] for f in fields(EvalReport)}
     except KeyError as exc:
         raise ValidationError(f"report file missing field {exc}") from None
-    try:
-        return EvalReport(**values)
-    except TypeError as exc:  # a non-numeric count or score
-        raise ValidationError(f"{path}: malformed report ({exc})") from None
+    return EvalReport(**values)
 
 
 def report_csv_header() -> str:
@@ -440,5 +468,4 @@ def report_csv_header() -> str:
 
 
 def report_csv_row(report: EvalReport) -> str:
-    return ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
-                    for v in report.to_dict().values())
+    return ",".join("" if v is None else str(v) for v in report.to_dict().values())

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
@@ -30,6 +29,7 @@ from .datamodel import (
     Segmentation,
     ValidationError,
     _as_index,
+    _as_number,
     read_json_object,
 )
 from .evaluate import MatchParams, f_measure
@@ -137,18 +137,14 @@ def config_keys() -> dict:
 def _checked(name: str, kind, value):
     """``value`` checked against the field type ``kind``.
 
-    Integer fields go through :func:`_as_index` (integral floats pass and
-    become ints); float fields take finite ints and floats but not
-    booleans or strings; any other field must be an instance of its type.
+    Integer fields go through :func:`_as_index`, float fields through
+    :func:`_as_number` but keep their value as given (an int stays one in
+    ``to_dict``); any other field must be an instance of its type.
     """
     if kind is int:
         return _as_index(value, f"config value {name!r}")
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-            raise ValidationError(f"config value {name!r} must be a number, got {value!r}")
-        # false for NaN, infinities and ints too large for a float
-        if not abs(value) <= sys.float_info.max:
-            raise ValidationError(f"config value {name!r} must be finite, got {value!r}")
+        _as_number(value, f"config value {name!r}")
     elif not isinstance(value, get_args(kind) or kind):
         allowed = " or ".join(t.__name__ for t in get_args(kind) or (kind,))
         raise ValidationError(f"config value {name!r} must be {allowed}, got {value!r}")

@@ -24,7 +24,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .datamodel import ConceptDetections, ValidationError, read_json_object, write_json_object
+from .datamodel import (
+    ConceptDetections,
+    ValidationError,
+    _as_number,
+    read_json_object,
+    write_json_object,
+)
 from .fusion import slice_means, unit_rows
 
 # seeded k-means runs per spectral clustering; the least distortion wins
@@ -82,6 +88,11 @@ class FileSimilarityProvider(SimilarityProvider):
         self._meanings = {t: list(ms) for t, ms in meanings.items()}
         self._sims = {}
         for (a, b), v in sims.items():
+            if not (isinstance(a, str) and isinstance(b, str)):
+                raise ValidationError(f"similarity pair ({a!r}, {b!r}) names a non-string meaning")
+            # a float needs only the range test, which NaN fails
+            if type(v) is not float:
+                v = _as_number(v, f"similarity for ({a!r}, {b!r})")
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"similarity {v} for ({a!r}, {b!r}) outside [0, 1]")
             self._sims[(a, b)] = v
@@ -96,8 +107,8 @@ class FileSimilarityProvider(SimilarityProvider):
                 for ms in meanings.values()):
             raise ValidationError(f"{path}: 'meanings' must map each tag to a list of strings")
         try:
-            sims = {(str(a), str(b)): float(v) for a, b, v in obj.get("sims", [])}
-        except (TypeError, ValueError) as exc:
+            sims = {(a, b): v for a, b, v in obj.get("sims", [])}
+        except (TypeError, ValueError) as exc:   # not a triple, or an unhashable meaning
             raise ValidationError(
                 f"{path}: each 'sims' entry must be [meaning_a, meaning_b, value] ({exc})"
             ) from None
@@ -197,6 +208,8 @@ class SemanticVocabulary:
                     f"representative {cl.representative!r} not a member of its cluster"
                 )
             for m in cl.members:
+                if not isinstance(m, str):
+                    raise ValidationError(f"tag {m!r} is not a string")
                 if m in seen:
                     raise ValidationError(f"tag {m!r} appears in more than one cluster")
                 seen.add(m)

@@ -22,6 +22,8 @@ from .datamodel import (
     FeatureStream,
     Segmentation,
     ValidationError,
+    _as_index,
+    _as_number,
     read_json_object,
     write_json_object,
 )
@@ -37,12 +39,14 @@ class SegmentSpec:
     concepts: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "length", _as_index(self.length, "segment length"))
         if self.length < 1:
             raise ValidationError(f"segment length must be >= 1, got {self.length}")
-        object.__setattr__(self, "contextual_mean",
-                           tuple(float(x) for x in self.contextual_mean))
-        object.__setattr__(self, "concepts",
-                           tuple((str(t), float(c)) for t, c in self.concepts))
+        object.__setattr__(self, "contextual_mean", tuple(
+            _as_number(x, "contextual mean entry") for x in self.contextual_mean))
+        # the tags are checked where generate() builds ConceptDetections
+        object.__setattr__(self, "concepts", tuple(
+            (t, _as_number(c, f"confidence of concept {t!r}")) for t, c in self.concepts))
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, rule in (("n", _as_index), ("noise_sigma", _as_number), ("seed", _as_index)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if self.noise_sigma < 0:
             raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         total = sum(s.length for s in self.segments)
         if total != self.n:
             raise ValidationError(
@@ -70,20 +78,17 @@ class SynthSpec:
         try:
             segments = tuple(
                 SegmentSpec(
-                    length=int(s["length"]),
+                    length=s["length"],
                     contextual_mean=tuple(s["contextual_mean"]),
-                    concepts=tuple((t, c) for t, c in sorted(s.get("concepts", {}).items())),
+                    concepts=tuple(sorted(s.get("concepts", {}).items())),
                 )
                 for s in obj["segments"]
             )
-            return cls(n=int(obj["n"]), segments=segments,
-                       noise_sigma=float(obj.get("noise_sigma", 0.0)),
-                       seed=int(obj.get("seed", 0)))
-        except ValidationError:
-            raise
+            return cls(n=obj["n"], segments=segments, noise_sigma=obj.get("noise_sigma", 0.0),
+                       seed=obj.get("seed", 0))
         except KeyError as exc:
             raise ValidationError(f"synth spec missing field {exc}") from None
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, AttributeError) as exc:   # a value of another JSON type
             raise ValidationError(f"{path}: malformed synth spec ({exc})") from None
 
     def save(self, path: str | Path) -> None:

@@ -267,18 +267,35 @@ def test_non_finite_features_exit_2(tmp_path, cell):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("line", [
-    '{"id": "0", "tags": [{"tag": "a", "confidence": 0.5}',
-    '{"id": "0", "tags": [{"tag": "a"}]}',
-    '{"id": "0", "tags": [{"confidence": 0.5}]}',
-], ids=["truncated", "no-confidence", "no-tag"])
-def test_malformed_detections_exit_2(fixture_dir, tmp_path, line):
+# a JSON integer too large for a float
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"id": "0", "tags": [{"tag": "a", "confidence": 0.5}', "row 3: malformed JSON"),
+    ('{"id": "0", "tags": [{"tag": "a"}]}', "row 3: tag entry missing key 'confidence'"),
+    ('{"id": "0", "tags": [{"confidence": 0.5}]}', "row 3: tag entry missing key 'tag'"),
+    (f'{{"id": "0", "tags": [{{"tag": "a", "confidence": {_HUGE}}}]}}',
+     "frame 3: tag 'a' confidence must be finite"),
+    ('{"id": "0", "tags": [{"tag": "a", "confidence": true}]}',
+     "frame 3: tag 'a' confidence must be a number"),
+    ('{"id": "0", "tags": [{"tag": "a", "confidence": "0.5"}]}',
+     "frame 3: tag 'a' confidence must be a number"),
+    ('{"id": "0", "tags": [{"tag": 5, "confidence": 0.5}]}', "frame 3: tag 5 is not a string"),
+    ('{"id": "0", "tags": [{"tag": true, "confidence": 0.5}]}',
+     "frame 3: tag True is not a string"),
+    ('{"id": "0", "tags": [{"tag": null, "confidence": 0.5}]}',
+     "frame 3: tag None is not a string"),
+], ids=["truncated", "no-confidence", "no-tag", "confidence-huge", "confidence-bool",
+        "confidence-string", "tag-int", "tag-bool", "tag-null"])
+def test_malformed_detections_exit_2(fixture_dir, tmp_path, capsys, line, message):
     good = (fixture_dir / "detections.jsonl").read_text().splitlines()
     bad = tmp_path / "detections.jsonl"
     bad.write_text("\n".join(good[:3] + [line] + good[4:]) + "\n")
     rc = main(["segment", str(fixture_dir / "features.csv"), "--detections", str(bad),
                "--out", str(tmp_path / "x.json")])
     assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_malformed_jsonl_features_exit_2(tmp_path):
@@ -339,8 +356,10 @@ def test_truncated_json_exit_2(fixture_dir, tmp_path, capsys, command):
     assert "malformed JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("body", [{"cutoff": "x"}, {"vocab_size": "x"}, {"radius": 1.5}],
-                         ids=["string-float", "string-int", "fractional-int"])
+@pytest.mark.parametrize("body", [{"cutoff": "x"}, {"vocab_size": "x"}, {"radius": 1.5},
+                                  {"seed": 2 ** 64}, {"cutoff": 10 ** 400}],
+                         ids=["string-float", "string-int", "fractional-int", "int-past-int64",
+                              "float-past-a-float"])
 def test_mistyped_config_exit_2(fixture_dir, tmp_path, capsys, body):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(body))
@@ -376,6 +395,80 @@ def test_non_integral_starts_exit_2(fixture_dir, tmp_path, capsys, starts):
     bad.write_text(f'{{"n": 45, "starts": {starts}}}\n')
     assert main(["evaluate", str(bad), str(fixture_dir / "ground_truth.json")]) == 2
     assert "segment start must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, message", [
+    (f'["m0", "m1", {_HUGE}]', "must be finite"),
+    ('["m0", "m1", true]', "must be a number"),
+    ('[5, "m1", 0.5]', "names a non-string meaning"),
+    ('["m0", null, 0.5]', "names a non-string meaning"),
+], ids=["weight-huge", "weight-bool", "meaning-int", "meaning-null"])
+def test_similarity_value_of_the_wrong_type_exit_2(fixture_dir, tmp_path, capsys, entry,
+                                                   message):
+    table = tmp_path / "sims.json"
+    table.write_text(f'{{"meanings": {{"m0": ["m0"]}}, "sims": [{entry}]}}')
+    out = tmp_path / "x.json"
+    rc = main(["segment", str(fixture_dir / "features.csv"),
+               "--detections", str(fixture_dir / "detections.jsonl"),
+               "--similarity", str(table), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ['"0.5"', "true", "null", _HUGE],
+                         ids=["string", "bool", "null", "huge"])
+def test_jsonl_feature_value_of_the_wrong_type_exit_2(tmp_path, capsys, value):
+    bad = tmp_path / "features.jsonl"
+    bad.write_text('{"id": "a", "vector": [1.0, 2.0]}\n'
+                   f'{{"id": "b", "vector": [3.0, {value}]}}\n')
+    out = tmp_path / "x.json"
+    assert main(["segment", str(bad), "--out", str(out)]) == 2
+    assert "error: row 1, column 1 must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("noise_sigma", 10 ** 400, "noise_sigma must be finite"),
+    ("noise_sigma", True, "noise_sigma must be a number"),
+    ("noise_sigma", "3", "noise_sigma must be a number"),
+    ("seed", -1, "seed must be >= 0"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("length", 2.7, "segment length must be an integer"),
+], ids=["noise-huge", "noise-bool", "noise-string", "seed-negative", "seed-fractional",
+        "length-fractional"])
+def test_synth_spec_value_of_the_wrong_type_exit_2(tmp_path, capsys, key, value, message):
+    spec = {"n": 5, "noise_sigma": 0.1, "seed": 0, "segments": [
+        {"length": 2, "contextual_mean": [1.0, 0.0], "concepts": {"a": 0.8}},
+        {"length": 3, "contextual_mean": [0.0, 1.0], "concepts": {"b": 0.7}}]}
+    # a length of 2.7 would read as 2, which the total of 5 fits
+    (spec["segments"][0] if key == "length" else spec)[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["synth", str(path), "--outdir", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [_HUGE, "9999999999999999999"], ids=["huge", "past-int64"])
+def test_segmentation_n_past_int64_exit_2(tmp_path, capsys, n):
+    bad = tmp_path / "seg.json"
+    bad.write_text(f'{{"n": {n}, "starts": [0]}}\n')
+    assert main(["evaluate", str(bad), str(bad)]) == 2
+    assert "segmentation n must be within int64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("members", ['["a", []]', '["a", 5]'], ids=["list", "int"])
+def test_vocabulary_member_not_a_string_exit_2(fixture_dir, tmp_path, capsys, members):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(f'{{"clusters": [{{"representative": "a", "members": {members}}}]}}')
+    out = tmp_path / "x.csv"
+    rc = main(["featurize", str(fixture_dir / "detections.jsonl"), "--vocab", str(vocab),
+               "--out", str(out)])
+    assert rc == 2
+    assert "is not a string" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, body", [

@@ -98,3 +98,60 @@ def test_mutated_input_exits_0_or_2(valid_files, command, data):
                          for arg in argv])
     assert code in (0, 2)
     assert "Traceback" not in stderr.getvalue()
+
+
+# JSON texts that replace one scalar of a valid file: numbers past a float
+# and past int64, non-finite numbers and -0.0, then values of every other
+# JSON type
+HOSTILE_NUMBERS = ["1" + "0" * 400, "-1" + "0" * 400, "1e999", "NaN", "-0.0"]
+HOSTILE = HOSTILE_NUMBERS + ["true", '"0.5"', "null", "[]", "{}"]
+_SLOT = "@@hostile@@"
+
+
+def _scalar_paths(value, path=()) -> list:
+    """The key path of every scalar inside a parsed JSON value."""
+    if isinstance(value, dict):
+        return [p for key, item in value.items() for p in _scalar_paths(item, path + (key,))]
+    if isinstance(value, list):
+        return [p for i, item in enumerate(value) for p in _scalar_paths(item, path + (i,))]
+    return [path]
+
+
+def _replaced(data: bytes, jsonl: bool, draw) -> tuple[bytes, object, str]:
+    """``data`` with one drawn scalar replaced by a drawn hostile text,
+    the scalar it replaced and that text. A JSON-lines file is read as
+    the list of its lines' objects."""
+    lines = data.decode().splitlines()
+    doc = [json.loads(line) for line in lines] if jsonl else json.loads(data)
+    path = draw(st.sampled_from(_scalar_paths(doc)))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    original, holder[path[-1]] = holder[path[-1]], _SLOT
+    hostile = draw(st.sampled_from(HOSTILE))
+    text = "\n".join(json.dumps(obj) for obj in doc) + "\n" if jsonl else json.dumps(doc)
+    return text.replace(json.dumps(_SLOT), hostile).encode(), original, hostile
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_hostile_value_exits_0_or_2(valid_files, command, data):
+    argv = COMMANDS[command]
+    target = data.draw(st.sampled_from(
+        [n for n in FILES if "@" + n in argv and n.endswith((".json", ".jsonl"))]))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in valid_files.items():
+            if name == target:
+                content, original, hostile = _replaced(content, name.endswith(".jsonl"),
+                                                       data.draw)
+            (Path(tmp) / name).write_bytes(content)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main([str(Path(tmp) / arg[1:]) if arg.startswith("@") else arg
+                         for arg in argv])
+    assert code in (0, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0 and isinstance(original, (int, float)) and not isinstance(original, bool):
+        # a number read from a file was replaced; only another number may pass
+        assert hostile in HOSTILE_NUMBERS

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from photoseg.datamodel import (
     ConceptDetections,
+    EvalReport,
     FeatureStream,
     Segmentation,
     ValidationError,
+    _as_index,
+    _as_number,
     load_concept_detections,
     load_feature_stream,
     load_report,
@@ -358,6 +361,48 @@ class TestEvalReportIO:
                        gce=0.1, lce=0.3)
 
 
+# (value, what _as_number returns, what _as_index returns); None rejects
+_NUMBER_TABLE = {
+    "10^400": (10 ** 400, None, None),
+    "-10^400": (-10 ** 400, None, None),
+    "1e999": (float("inf"), None, None),
+    "-inf": (float("-inf"), None, None),
+    "nan": (float("nan"), None, None),
+    "true": (True, None, None),
+    "numpy-bool": (np.bool_(False), None, None),
+    "string": ("0.5", None, None),
+    "null": (None, None, None),
+    "list": ([], None, None),
+    "dict": ({}, None, None),
+    "-0.0": (-0.0, -0.0, 0),
+    "float32": (np.float32(0.5), 0.5, None),
+    "int64": (np.int64(3), 3.0, 3),
+    "integral-float": (2.0, 2.0, 2),
+    "int64-max": (2 ** 63 - 1, float(2 ** 63 - 1), 2 ** 63 - 1),
+    "int64-min": (-2 ** 63, float(-2 ** 63), -2 ** 63),
+    "past-int64": (2 ** 63, float(2 ** 63), None),
+    "below-int64": (-2 ** 63 - 1, float(-2 ** 63 - 1), None),
+    "past-int64-float": (1e19, 1e19, None),
+    "uint64-max": (np.uint64(2 ** 64 - 1), float(2 ** 64 - 1), None),
+}
+
+
+@pytest.mark.parametrize("rule", ["number", "index"])
+@pytest.mark.parametrize("case", sorted(_NUMBER_TABLE))
+def test_number_rules(case, rule):
+    value, as_number, as_index = _NUMBER_TABLE[case]
+    convert, expected, kind = ((_as_number, as_number, float) if rule == "number"
+                               else (_as_index, as_index, int))
+    if expected is None:
+        with pytest.raises(ValidationError, match=re.escape(f"field {case!r} must be")):
+            convert(value, f"field {case!r}")
+        return
+    got = convert(value, f"field {case!r}")
+    assert type(got) is kind and got == expected
+    # -0.0 keeps its sign as a number and is 0 as an index
+    assert np.signbit(got) == np.signbit(expected)
+
+
 class TestIntegralIndices:
     @pytest.mark.parametrize("start", [1.7, "1", "x", True, float("nan"), None])
     def test_rejects_non_integral_start(self, start):
@@ -368,6 +413,10 @@ class TestIntegralIndices:
     def test_rejects_non_integral_n(self, n):
         with pytest.raises(ValidationError, match="segmentation n must be an integer"):
             Segmentation(n, (0,))
+
+    def test_from_boundaries_rejects_a_fractional_boundary(self):
+        with pytest.raises(ValidationError, match="segment start must be an integer"):
+            Segmentation.from_boundaries(10, [4, 2.5])
 
     def test_accepts_numpy_integers_and_integral_floats(self):
         seg = Segmentation(np.int64(10), (0, np.int32(4), 7.0, np.float64(8.0)))
@@ -414,3 +463,26 @@ def test_load_report_rejects_malformed(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ValidationError):
         load_report(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("tp", "true", "report field 'tp' must be an integer"),
+    ("fn", "1.5", "report field 'fn' must be an integer"),
+    ("precision", '"0.5"', "report field 'precision' must be a number"),
+    ("recall", "null", "report field 'recall' must be a number"),
+    ("gce", "1e999", "report field 'gce' must be finite"),
+])
+def test_load_report_rejects_a_value_of_the_wrong_type(tmp_path, field, value, message):
+    good = {"precision": 1.0, "recall": 1.0, "fmeasure": 1.0, "tp": 2, "fp": 0, "fn": 0,
+            "gce": 0.0, "lce": 0.0}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({**good, field: "@"}).replace('"@"', value))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_report(path)
+
+
+def test_report_scores_are_floats_and_counts_ints():
+    report = EvalReport(precision=1, recall=np.float64(0.5), fmeasure=np.float32(0.5),
+                        tp=np.int64(2), fp=0.0, fn=0)
+    kinds = [type(v) for v in report.to_dict().values()]
+    assert kinds == [float] * 3 + [int] * 3 + [type(None)] * 2
