@@ -124,6 +124,26 @@ class Segmentation:
         return cls(n, tuple([0] + sorted(set(boundaries))))
 
 
+def _checked_tags(pairs, where: str) -> tuple[tuple[str, float], ...]:
+    """One frame's ``(tag, confidence)`` pairs with each confidence through
+    :func:`_as_number`; a tag that is not a string or repeats, or a
+    confidence outside [0, 1], raises :class:`ValidationError` naming
+    ``where``."""
+    checked, seen = [], set()
+    for tag, conf in pairs:
+        if not isinstance(tag, str):
+            raise ValidationError(f"{where}: tag {tag!r} is not a string")
+        if tag in seen:
+            raise ValidationError(f"{where}: duplicate tag {tag!r}")
+        seen.add(tag)
+        if type(conf) is not float:   # a float needs only the range test, which NaN fails
+            conf = _as_number(conf, f"{where}: tag {tag!r} confidence")
+        if not 0.0 <= conf <= 1.0:
+            raise ValidationError(f"{where}: confidence {conf} for tag {tag!r} outside [0, 1]")
+        checked.append((tag, conf))
+    return tuple(checked)
+
+
 @dataclass(frozen=True)
 class ConceptDetections:
     """Per-frame (tag, confidence) pairs from an external tagger.
@@ -136,23 +156,8 @@ class ConceptDetections:
     ids: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        # a float confidence needs only the range test below, which NaN fails
-        frames = tuple(
-            tuple((t, c if type(c) is float else _as_number(c, f"frame {i}: tag {t!r} confidence"))
-                  for t, c in fr) for i, fr in enumerate(self.frames))
+        frames = tuple(_checked_tags(fr, f"frame {i}") for i, fr in enumerate(self.frames))
         object.__setattr__(self, "frames", frames)
-        for i, fr in enumerate(frames):
-            seen = set()
-            for tag, conf in fr:
-                if not isinstance(tag, str):
-                    raise ValidationError(f"frame {i}: tag {tag!r} is not a string")
-                if tag in seen:
-                    raise ValidationError(f"frame {i}: duplicate tag {tag!r}")
-                seen.add(tag)
-                if not 0.0 <= conf <= 1.0:
-                    raise ValidationError(
-                        f"frame {i}: confidence {conf} for tag {tag!r} outside [0, 1]"
-                    )
         if self.ids is not None and len(self.ids) != len(frames):
             raise ValidationError("ids and frames length mismatch")
 
@@ -365,9 +370,7 @@ def load_feature_stream(path: str | Path) -> FeatureStream:
                 vec = obj.get("vector")
                 if not isinstance(vec, list):
                     raise ValidationError(f"row {r}: missing or non-list 'vector' field")
-                if not all(type(c) is float for c in vec):
-                    vec = [_as_number(c, f"row {r}, column {j}") for j, c in enumerate(vec)]
-                rows.append(vec)
+                rows.append([_as_number(c, f"row {r}, column {j}") for j, c in enumerate(vec)])
                 ids.append(fid)
             ids = tuple(ids)
         else:
@@ -408,11 +411,12 @@ def load_concept_detections(path: str | Path) -> ConceptDetections:
 
     One object per frame: ``{"id": ..., "tags": [{"tag": ..., "confidence":
     ...}]}``. Frames with an empty tag list are accepted. A malformed JSON
-    line or a tag entry without ``tag`` or ``confidence`` raises
-    :class:`ValidationError` naming its row; a file without frames, or
-    text that is not UTF-8, one naming the file.
+    line, or a tag entry that is incomplete or breaks the rules of
+    :class:`ConceptDetections`, raises :class:`ValidationError` naming its
+    row; a file without frames, or text that is not UTF-8, one naming the
+    file.
     """
-    frames, ids = [], []
+    frames, ids, rows = [], [], []
     for r, fid, obj in _json_lines(path):
         try:
             frames.append(tuple((t["tag"], t["confidence"]) for t in obj.get("tags", [])))
@@ -421,9 +425,15 @@ def load_concept_detections(path: str | Path) -> ConceptDetections:
         except TypeError as exc:   # tags or a tag entry of another JSON type
             raise ValidationError(f"row {r}: malformed tag entry ({exc})") from None
         ids.append(fid)
+        rows.append(r)
     if not frames:
         raise ValidationError(f"empty detections file: {path}")
-    return ConceptDetections(frames=tuple(frames), ids=tuple(ids))
+    try:
+        return ConceptDetections(frames=tuple(frames), ids=tuple(ids))
+    except ValidationError:
+        for r, fr in zip(rows, frames):   # name the first bad frame by its row
+            _checked_tags(fr, f"row {r}")
+        raise
 
 
 def save_concept_detections(det: ConceptDetections, path: str | Path) -> None:

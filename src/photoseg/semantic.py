@@ -90,8 +90,7 @@ class FileSimilarityProvider(SimilarityProvider):
         for (a, b), v in sims.items():
             if not (isinstance(a, str) and isinstance(b, str)):
                 raise ValidationError(f"similarity pair ({a!r}, {b!r}) names a non-string meaning")
-            # a float needs only the range test, which NaN fails
-            if type(v) is not float:
+            if type(v) is not float:   # a float needs only the range test, which NaN fails
                 v = _as_number(v, f"similarity for ({a!r}, {b!r})")
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"similarity {v} for ({a!r}, {b!r}) outside [0, 1]")

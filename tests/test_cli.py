@@ -276,22 +276,39 @@ _HUGE = "1" + "0" * 400
     ('{"id": "0", "tags": [{"tag": "a"}]}', "row 3: tag entry missing key 'confidence'"),
     ('{"id": "0", "tags": [{"confidence": 0.5}]}', "row 3: tag entry missing key 'tag'"),
     (f'{{"id": "0", "tags": [{{"tag": "a", "confidence": {_HUGE}}}]}}',
-     "frame 3: tag 'a' confidence must be finite"),
+     "row 3: tag 'a' confidence must be finite"),
     ('{"id": "0", "tags": [{"tag": "a", "confidence": true}]}',
-     "frame 3: tag 'a' confidence must be a number"),
+     "row 3: tag 'a' confidence must be a number"),
     ('{"id": "0", "tags": [{"tag": "a", "confidence": "0.5"}]}',
-     "frame 3: tag 'a' confidence must be a number"),
-    ('{"id": "0", "tags": [{"tag": 5, "confidence": 0.5}]}', "frame 3: tag 5 is not a string"),
+     "row 3: tag 'a' confidence must be a number"),
+    ('{"id": "0", "tags": [{"tag": 5, "confidence": 0.5}]}', "row 3: tag 5 is not a string"),
     ('{"id": "0", "tags": [{"tag": true, "confidence": 0.5}]}',
-     "frame 3: tag True is not a string"),
+     "row 3: tag True is not a string"),
     ('{"id": "0", "tags": [{"tag": null, "confidence": 0.5}]}',
-     "frame 3: tag None is not a string"),
+     "row 3: tag None is not a string"),
 ], ids=["truncated", "no-confidence", "no-tag", "confidence-huge", "confidence-bool",
         "confidence-string", "tag-int", "tag-bool", "tag-null"])
 def test_malformed_detections_exit_2(fixture_dir, tmp_path, capsys, line, message):
     good = (fixture_dir / "detections.jsonl").read_text().splitlines()
     bad = tmp_path / "detections.jsonl"
     bad.write_text("\n".join(good[:3] + [line] + good[4:]) + "\n")
+    rc = main(["segment", str(fixture_dir / "features.csv"), "--detections", str(bad),
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"id": "0", "tags": [{"tag": "a", "confidence": true}]}',
+     "row 4: tag 'a' confidence must be a number"),
+    ('{"id": "0", "tags": [{"tag": "a", "confidence": 0.5}, {"tag": "a", "confidence": 0.5}]}',
+     "row 4: duplicate tag 'a'"),
+], ids=["confidence-bool", "duplicate-tag"])
+def test_detections_error_counts_blank_lines(fixture_dir, tmp_path, capsys, line, message):
+    # the bad line is frame 3 but row 4 of the file
+    good = (fixture_dir / "detections.jsonl").read_text().splitlines()
+    bad = tmp_path / "detections.jsonl"
+    bad.write_text("\n".join(good[:3] + ["", line] + good[4:]) + "\n")
     rc = main(["segment", str(fixture_dir / "features.csv"), "--detections", str(bad),
                "--out", str(tmp_path / "x.json")])
     assert rc == 2
