@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .datamodel import Segmentation, ValidationError
+from .datamodel import Segmentation, ValidationError, _held
 from .fusion import unit_rows
 
 LINKAGES = ("ward", "centroid", "complete", "weighted", "single", "median", "average")
@@ -250,10 +250,9 @@ def cluster_frames(stream: np.ndarray, params: AggloParams, *,
 
     The work has two steps: the merge table, which depends on the stream
     and the linkage only, and its cut at ``params.cutoff``. A caller that
-    cuts one stream at several cutoffs may pass ``merge_tables``, a dict
-    of read-only merge tables by linkage that it keeps for this stream
-    alone: a table found there is cut as it is, and a missing one is built
-    and added. The segmentation is the same either way.
+    cuts one stream at several cutoffs may pass ``merge_tables``, its
+    dict of this stream's tables by linkage, looked up or built by
+    :func:`~photoseg.datamodel._held`. The segmentation is the same either way.
     """
     rows = np.asarray(stream, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] == 0:
@@ -263,12 +262,7 @@ def cluster_frames(stream: np.ndarray, params: AggloParams, *,
     n = rows.shape[0]
     if n == 1:
         return Segmentation(1, (0,))
-    tables = {} if merge_tables is None else merge_tables
-    if params.linkage not in tables:
-        # the distances are needed only as the merge loop's work matrix
-        merges = linkage_merge_sequence(cosine_distance_matrix(rows), params.linkage,
-                                        overwrite_dist=True)
-        merges.flags.writeable = False
-        tables[params.linkage] = merges
-    labels = cut_merge_sequence(tables[params.linkage], n, params.cutoff)
-    return Segmentation.from_labels(labels)
+    # the distances are needed only as the merge loop's work matrix
+    merges = _held(merge_tables, params.linkage, lambda: linkage_merge_sequence(
+        cosine_distance_matrix(rows), params.linkage, overwrite_dist=True))
+    return Segmentation.from_labels(cut_merge_sequence(merges, n, params.cutoff))

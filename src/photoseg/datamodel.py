@@ -14,7 +14,8 @@ concept detections    JSON lines ``{"id": ..., "tags": [{"tag": ...,
 segmentation          JSON ``{"n": ..., "starts": [...]}``
 evaluation report     JSON object or a CSV row (see ``report_csv_row``)
 
-A JSON number must be finite (:func:`_as_number`), and an integer must lie
+A JSON-lines ``id`` is a string, the row number when missing. A JSON
+number must be finite (:func:`_as_number`), and an integer must lie
 within int64 (:func:`_as_index`); booleans, strings and ``null`` are not
 numbers. CSV cells are text, parsed by ``float()``.
 """
@@ -60,6 +61,21 @@ def _as_index(value, what: str) -> int:
     if not -2**63 <= int(value) < 2**63:
         raise ValidationError(f"{what} must be within int64, got {value!r}")
     return int(value)
+
+
+def _held(table: Optional[dict], key, fn, *args, **kwargs):
+    """``table[key]``, built on a miss as ``fn(*args, **kwargs)`` with every
+    array in it (the value, or each item of a tuple) made read-only, and
+    stored. With ``table`` None the value is built and not kept."""
+    if table is not None and key in table:
+        return table[key]
+    value = fn(*args, **kwargs)
+    for item in value if isinstance(value, tuple) else (value,):
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+    if table is not None:
+        table[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -300,16 +316,20 @@ def write_json_object(path: str | Path, obj: dict) -> None:
 
 def _json_lines(path: str | Path) -> Iterable[tuple[int, str, dict]]:
     """``(row, id, object)`` per non-blank line of a JSON-lines file. Rows
-    count every line from 0, and an ``id`` defaults to the row number. A
-    malformed line or a non-object raises :class:`ValidationError` naming
-    its row, as does JSON that Python cannot hold; text that is not UTF-8,
-    one naming the file."""
+    count every line from 0, and a missing ``id`` defaults to the row
+    number as a string. A malformed line, a non-object or an ``id`` that is
+    not a JSON string raises :class:`ValidationError` naming its row, as
+    does JSON that Python cannot hold; text that is not UTF-8, one naming
+    the file."""
     with _decoding(path), Path(path).open() as fh:
         for r, line in enumerate(fh):
             if not line.strip():
                 continue
             obj = _json_object(line, f"row {r}")
-            yield r, str(obj.get("id", r)), obj
+            fid = obj.get("id", str(r))
+            if not isinstance(fid, str):
+                raise ValidationError(f"row {r}: id {fid!r} is not a string")
+            yield r, fid, obj
 
 
 def _write_json_lines(path: str | Path, ids: Optional[Sequence[str]],

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agglo import cosine_distance
-from .datamodel import Segmentation, ValidationError
+from .datamodel import Segmentation, ValidationError, _held
 from .fusion import BLOCK_ROWS, slice_means, unit_rows
 
 
@@ -223,19 +223,15 @@ def _chain_optimum(mixed: np.ndarray, stream: np.ndarray, params: GcParams,
     a frame pays nothing more, absorbs. At radius 1 that is one state per
     label, paying the adjacent pair on a switch.
 
-    ``pair_tables``, when given, maps r to this stream's read-only
-    :func:`_pair_energies` table; a missing one is built and stored there.
+    ``pair_tables`` maps r to this stream's :func:`_pair_energies` table,
+    looked up or built by :func:`~photoseg.datamodel._held`.
     """
     n, num_labels = mixed.shape
     if n == 1:
         return np.array([int(np.argmin(mixed[0]))])
     r = min(params.radius, n - 1)
     sizes = _neighbor_sizes(n, r)
-    tables = {} if pair_tables is None else pair_tables
-    if r not in tables:
-        tables[r] = _pair_energies(stream, r)
-        tables[r].flags.writeable = False
-    pairs = tables[r]
+    pairs = _held(pair_tables, r, _pair_energies, stream, r)
     # term[t, d - 1]: the cost of frames t - d and t disagreeing, summed
     # over both frames' neighborhood averages; pay[t, a] sums it over d > a
     term = np.zeros((n, r))
@@ -330,7 +326,7 @@ def minimize_labels(ls: LabelSpace, unary_ac: np.ndarray, unary_adw: np.ndarray,
     Both unary tables must be (n, num_labels) and finite; a NaN or inf
     entry raises :class:`ValidationError`. ``pair_tables`` is an optional
     caller-owned dict of this stream's pair-energy tables by effective
-    radius, read or filled by the DP; without it each call builds its own.
+    radius, looked up or built by :func:`~photoseg.datamodel._held`.
     """
     rows = np.asarray(stream, dtype=np.float64)
     n = rows.shape[0]

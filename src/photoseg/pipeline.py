@@ -30,6 +30,7 @@ from .datamodel import (
     ValidationError,
     _as_index,
     _as_number,
+    _held,
     read_json_object,
 )
 from .evaluate import MatchParams, f_measure
@@ -74,6 +75,20 @@ class PipelineConfig:
     gc: GcParams = field(default_factory=GcParams)
     match: MatchParams = field(default_factory=MatchParams)
     grid: Optional[dict] = None
+
+    def __post_init__(self):
+        # the rules and messages of the stages that read these values; the
+        # stages keep their own checks for library callers
+        if self.vocab_size < 1:
+            raise ValidationError(f"cluster count must be >= 1, got {self.vocab_size}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        if self.variance_threshold < 0:
+            raise ValidationError(f"threshold must be >= 0, got {self.variance_threshold}")
+        if not 0.0 <= self.blend <= 1.0:
+            raise ValidationError(f"blend must lie in [0, 1], got {self.blend}")
 
     @classmethod
     def from_dict(cls, flat: dict) -> "PipelineConfig":
@@ -182,35 +197,6 @@ def _adwin_candidate(fused: np.ndarray, params: AdwinParams) -> Segmentation:
     return detect_changes(rescale_to_unit(fused), params)
 
 
-def _candidate(memo: dict, key, params, name: str, fn, fused: np.ndarray, **kwargs):
-    """``fn(fused, params, **kwargs)`` as the stage ``name``, looked up in
-    ``memo`` under ``(key, params)`` and stored there on a miss."""
-    if (key, params) not in memo:
-        memo[key, params] = _stage(name, fn, fused, params, **kwargs)
-    return memo[key, params]
-
-
-def _unaries(memo: dict, key, ls, fused: np.ndarray,
-             params: GcParams) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`unary_energies` as the stage "graphcut". The last call's
-    tables are reused when ``key`` equals its key, and replaced otherwise:
-    ``memo`` holds one pair of (n, labels) tables, not one per distinct
-    input. The tables are read-only, since :func:`minimize` only reads
-    them."""
-    held = memo.pop("unaries", None)
-    if held is not None and held[0] == key:
-        tables = held[1]
-    else:
-        # the old pair goes before the new one is computed, which would
-        # otherwise raise the peak memory by one pair
-        del held
-        tables = _stage("graphcut", unary_energies, ls, fused, params)
-        for table in tables:
-            table.flags.writeable = False
-    memo["unaries"] = key, tables
-    return tables
-
-
 # the flat config keys build_vocabulary reads
 VOCABULARY_KEYS = ("vocab_size", "seed")
 
@@ -256,22 +242,11 @@ def run_pipeline(features: FeatureStream,
     frame has a tag, and adds the semantic features otherwise. The
     similarity provider defaults as in :func:`build_vocabulary`.
 
-    ``memo`` holds work shared by runs on the same inputs (see
-    :func:`grid_search`); by default a fresh dict. The candidate
-    segmentations are stored in it under their own parameters and the
-    config's top-level values, which fix the fused matrix when the inputs
-    are fixed (``agglo``, ``adwin`` and ``gc`` act after fusion, and
-    ``match`` only in :func:`grid_search`'s scoring). The agglomerative
-    merge tables are stored under that key and ``linkage``:
-    :func:`cluster_frames` builds one in the run of the first cutoff that
-    needs it, and every other cutoff only cuts it. The chain DP's
-    pair-energy tables are stored under that key by effective radius:
-    :func:`minimize` builds one in the first run that needs it. The
-    previous run's unary tables are reused when that key, both
-    candidates' parameters and ``softmax_temp`` match. A memo refuses,
-    with :class:`ValidationError`, a run on other ``features``,
-    ``detections`` or ``provider`` objects than its first. Features and
-    detections are immutable; a provider changed in place goes unseen.
+    ``memo`` holds the tables shared by runs on the same inputs, keyed as
+    :func:`grid_search` lists; by default a fresh dict. It refuses, with
+    :class:`ValidationError`, a run on other ``features``, ``detections``
+    or ``provider`` objects than its first. Features and detections are
+    immutable; a provider changed in place goes unseen.
     """
     memo = {} if memo is None else memo
     inputs = (features, detections, provider)
@@ -303,14 +278,21 @@ def run_pipeline(features: FeatureStream,
                 if part is None and name != "grid")
     # the merge tables by linkage of this fused matrix, built by the
     # first cut that needs one
-    seg_ac = _candidate(memo, key, config.agglo, "agglomerative", cluster_frames, fused,
-                        merge_tables=memo.setdefault((key, "merge tables"), {}))
-    seg_adw = _candidate(memo, key, config.adwin, "adwin", _adwin_candidate, fused)
+    seg_ac = _held(memo, (key, config.agglo), _stage, "agglomerative", cluster_frames, fused,
+                   config.agglo, merge_tables=memo.setdefault((key, "merge tables"), {}))
+    seg_adw = _held(memo, (key, config.adwin), _stage, "adwin", _adwin_candidate, fused,
+                    config.adwin)
 
     ls = _stage("graphcut", build_label_space, seg_ac, seg_adw, fused)
-    # the label space is a function of the fused matrix and both candidates
-    unary_ac, unary_adw = _unaries(
-        memo, (key, config.agglo, config.adwin, config.gc.softmax_temp), ls, fused, config.gc)
+    # the unary tables read the fused matrix, the label space (a function
+    # of it and both candidates) and softmax_temp. One pair is held: the
+    # old one goes before a new one is built, which would otherwise raise
+    # the peak memory by one pair
+    unary_key = (key, seg_ac, seg_adw, config.gc.softmax_temp)
+    if unary_key not in memo.get("unaries", {}):
+        memo["unaries"] = {}
+    unary_ac, unary_adw = _held(memo["unaries"], unary_key, _stage, "graphcut",
+                                unary_energies, ls, fused, config.gc)
     # the pair-energy tables by effective radius of this fused matrix
     final = _stage("graphcut", minimize, ls, unary_ac, unary_adw, fused, config.gc,
                    pair_tables=memo.setdefault((key, "pair tables"), {}))
@@ -346,16 +328,16 @@ def grid_search(features: FeatureStream,
     Rows come back sorted by F-measure descending; ties keep the row-major
     enumeration order over ``GRID_PARAMS``, so results are reproducible.
 
-    Every configuration runs the full pipeline, except that within this
-    call each candidate segmentation is computed once per distinct
-    top-level config values and candidate parameters, and reused by every
-    configuration that shares them; the agglomerative merge table is
-    built once per distinct top-level config values and ``linkage``, and
-    each cutoff only cuts it; the chain DP's pair-energy table is built
-    once per distinct top-level config values and effective radius, and
-    read by every other configuration that shares them; consecutive
-    configurations that share both candidates and ``softmax_temp`` also
-    share one pair of unary tables (``memo`` of :func:`run_pipeline`).
+    Every configuration runs the full pipeline, but one rule shares work
+    within this call: a table is looked up by what it reads, or built,
+    made read-only and stored (:func:`~photoseg.datamodel._held`). The
+    inputs are fixed, so the top-level config values key the fused matrix
+    (``agglo``, ``adwin`` and ``gc`` act after fusion, ``match`` only in
+    scoring). Each candidate segmentation is keyed by that key and its own
+    parameters; the agglomerative merge table by that key and ``linkage``,
+    so each cutoff only cuts it; the chain DP's pair-energy table by that
+    key and effective radius; the unary pair by that key, both candidate
+    segmentations and ``softmax_temp``, and only the last pair is held.
     Nothing is kept across calls.
     """
     if not config.grid:

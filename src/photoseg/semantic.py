@@ -28,6 +28,7 @@ from .datamodel import (
     ConceptDetections,
     ValidationError,
     _as_number,
+    _held,
     read_json_object,
     write_json_object,
 )
@@ -322,17 +323,17 @@ def _farthest_point_kmeans(points: np.ndarray, k: int, seed,
                            seed_rows: Optional[dict] = None) -> tuple[np.ndarray, float]:
     """Seeded greedy max-min init, then Lloyd iterations. Returns labels and distortion.
 
-    ``seed_rows`` maps a point's index to its :func:`_exact_sq_dists` row
-    against all points; rows missing from it are computed and added, so
-    callers running several restarts on the same points share them.
+    ``seed_rows`` maps a point's index to its read-only
+    :func:`_exact_sq_dists` row against all points, looked up or built by
+    :func:`~photoseg.datamodel._held`, so callers running several restarts
+    on the same points share them.
     """
     n = points.shape[0]
+    # without a caller's table, the seeding and the first assignment share one
     rows = {} if seed_rows is None else seed_rows
 
     def row(i: int) -> np.ndarray:
-        if i not in rows:
-            rows[i] = _exact_sq_dists(points, points[i])
-        return rows[i]
+        return _held(rows, i, _exact_sq_dists, points, points[i])
 
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]

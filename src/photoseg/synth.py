@@ -24,6 +24,7 @@ from .datamodel import (
     ValidationError,
     _as_index,
     _as_number,
+    _checked_tags,
     read_json_object,
     write_json_object,
 )
@@ -32,7 +33,7 @@ from .datamodel import (
 @dataclass(frozen=True)
 class SegmentSpec:
     """One stationary stretch: its length, contextual mean, and the
-    concepts visible throughout it with their base confidences."""
+    concepts visible throughout it with their base confidences in [0, 1]."""
 
     length: int
     contextual_mean: tuple[float, ...]
@@ -44,9 +45,8 @@ class SegmentSpec:
             raise ValidationError(f"segment length must be >= 1, got {self.length}")
         object.__setattr__(self, "contextual_mean", tuple(
             _as_number(x, "contextual mean entry") for x in self.contextual_mean))
-        # the tags are checked where generate() builds ConceptDetections
-        object.__setattr__(self, "concepts", tuple(
-            (t, _as_number(c, f"confidence of concept {t!r}")) for t, c in self.concepts))
+        # ConceptDetections' rules; generate() clips each frame's jittered value
+        object.__setattr__(self, "concepts", _checked_tags(self.concepts, "segment spec"))
 
 
 @dataclass(frozen=True)

@@ -389,19 +389,29 @@ def test_mistyped_config_exit_2(fixture_dir, tmp_path, capsys, body):
 
 
 @pytest.mark.parametrize("route", ["flag", "config-file"])
-@pytest.mark.parametrize("command", ["segment", "vocab"])
-def test_negative_seed_exit_2(fixture_dir, tmp_path, capsys, command, route):
-    flags = ["--seed", "-1", "--vocab-size", "2"]
+@pytest.mark.parametrize("command, values, message", [
+    ("segment", {"seed": -1, "vocab_size": 2}, "seed must be >= 0"),
+    ("vocab", {"seed": -1, "vocab_size": 2}, "seed must be >= 0"),
+    # without detections the semantic stages never run; the config refuses their values
+    ("features-only", {"vocab_size": -5, "bandwidth": -1.0}, "cluster count must be >= 1"),
+    ("features-only", {"bandwidth": -1.0}, "bandwidth must be positive and finite"),
+    ("features-only", {"variance_threshold": -0.1}, "threshold must be >= 0"),
+    ("features-only", {"blend": 2.0}, "blend must lie in [0, 1]"),
+], ids=["segment", "vocab", "vocab-size", "bandwidth", "variance-threshold", "blend"])
+def test_negative_seed_exit_2(fixture_dir, tmp_path, capsys, command, values, message, route):
+    flags = [arg for key, value in values.items()
+             for arg in ("--" + key.replace("_", "-"), str(value))]
     if route == "config-file":
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": -1, "vocab_size": 2}))
+        config.write_text(json.dumps(values))
         flags = ["--config", str(config)]
     out = tmp_path / "x.json"
+    features = str(fixture_dir / "features.csv")
     detections = str(fixture_dir / "detections.jsonl")
-    argv = (["segment", str(fixture_dir / "features.csv"), "--detections", detections]
-            if command == "segment" else ["vocab", detections])
+    argv = {"segment": ["segment", features, "--detections", detections],
+            "vocab": ["vocab", detections], "features-only": ["segment", features]}[command]
     assert main([*argv, "--out", str(out), *flags]) == 2
-    assert "seed must be >= 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -452,14 +462,16 @@ def test_jsonl_feature_value_of_the_wrong_type_exit_2(tmp_path, capsys, value):
     ("seed", -1, "seed must be >= 0"),
     ("seed", 1.5, "seed must be an integer"),
     ("length", 2.7, "segment length must be an integer"),
+    # generate() clips each frame's confidence, which would hide the base
+    ("concepts", {"a": 5}, "segment spec: confidence 5.0 for tag 'a' outside [0, 1]"),
 ], ids=["noise-huge", "noise-bool", "noise-string", "seed-negative", "seed-fractional",
-        "length-fractional"])
+        "length-fractional", "base-confidence-above-1"])
 def test_synth_spec_value_of_the_wrong_type_exit_2(tmp_path, capsys, key, value, message):
     spec = {"n": 5, "noise_sigma": 0.1, "seed": 0, "segments": [
         {"length": 2, "contextual_mean": [1.0, 0.0], "concepts": {"a": 0.8}},
         {"length": 3, "contextual_mean": [0.0, 1.0], "concepts": {"b": 0.7}}]}
     # a length of 2.7 would read as 2, which the total of 5 fits
-    (spec["segments"][0] if key == "length" else spec)[key] = value
+    (spec["segments"][0] if key in ("length", "concepts") else spec)[key] = value
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "out"

@@ -155,3 +155,6 @@ def test_hostile_value_exits_0_or_2(valid_files, command, data):
     if code == 0 and isinstance(original, (int, float)) and not isinstance(original, bool):
         # a number read from a file was replaced; only the finite, in-range one may pass
         assert hostile == "-0.0"
+    if code == 0 and isinstance(original, str):
+        # a string (an id, tag, meaning or member) may only become another string
+        assert hostile == '"0.5"'

@@ -15,6 +15,7 @@ from photoseg.datamodel import (
     ValidationError,
     _as_index,
     _as_number,
+    _held,
     load_concept_detections,
     load_feature_stream,
     load_report,
@@ -282,7 +283,11 @@ class TestJsonLinesRowFormat:
          "row 2: JSON past the parser's limits"),
         ('{"vector": ' + "[" * 200_000 + "]" * 200_000 + "}\n",
          "row 2: JSON past the parser's limits"),
-    ], ids=["malformed", "not-an-object", "long-integer", "deep-nesting"])
+        ('{"id": 7, "vector": [2], "tags": []}\n', "row 2: id 7 is not a string"),
+        ('{"id": null, "vector": [2], "tags": []}\n', "row 2: id None is not a string"),
+        ('{"id": [1], "vector": [2], "tags": []}\n', "row 2: id [1] is not a string"),
+    ], ids=["malformed", "not-an-object", "long-integer", "deep-nesting", "id-int", "id-null",
+            "id-list"])
     def test_bad_line_names_its_row(self, tmp_path, load, line, message):
         path = tmp_path / "rows.jsonl"
         path.write_text(ROW + "  \n" + line + ROW)
@@ -298,7 +303,7 @@ class TestJsonLinesRowFormat:
 
     def test_missing_ids_default_to_row_numbers(self, tmp_path, load):
         path = tmp_path / "rows.jsonl"
-        path.write_text(ROW + '{"id": 7, "vector": [2], "tags": []}\n' + ROW + "\n" + ROW)
+        path.write_text(ROW + '{"id": "7", "vector": [2], "tags": []}\n' + ROW + "\n" + ROW)
         assert load(path).ids == ("0", "7", "2", "4")
 
 
@@ -486,3 +491,28 @@ def test_report_scores_are_floats_and_counts_ints():
                         tp=np.int64(2), fp=0.0, fn=0)
     kinds = [type(v) for v in report.to_dict().values()]
     assert kinds == [float] * 3 + [int] * 3 + [type(None)] * 2
+
+
+class TestHeld:
+    def test_without_a_table_computes_and_keeps_nothing(self):
+        calls = []
+        value = _held(None, "k", lambda: calls.append(1) or np.zeros(3))
+        assert calls == [1] and not value.flags.writeable
+        _held(None, "k", lambda: calls.append(1) or np.zeros(3))
+        assert calls == [1, 1]
+
+    def test_stored_arrays_are_read_only(self):
+        table = {}
+        single = _held(table, "a", np.arange, 4)
+        pair = _held(table, "b", lambda: (np.ones(2), np.zeros((2, 2)), "label"))
+        assert table.keys() == {"a", "b"} and table["a"] is single and table["b"] is pair
+        assert not single.flags.writeable
+        assert not any(a.flags.writeable for a in pair[:2])
+        with pytest.raises(ValueError):
+            single[0] = 9
+
+    def test_a_hit_returns_the_stored_object_without_calling(self):
+        table = {}
+        first = _held(table, ("x", 1), np.full, 2, 0.5)
+        again = _held(table, ("x", 1), lambda: pytest.fail("a hit must not call fn"))
+        assert again is first and len(table) == 1

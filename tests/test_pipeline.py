@@ -250,6 +250,12 @@ REUSE_GRID = {"linkage": ["average", "single"], "cutoff": [0.3, 0.6], "delta": [
               "unary_mix": [0.5], "blend": [0.3, 0.7], "bandwidth": [1.0, 3.0],
               "radius": [1, 2]}
 
+# one fused matrix, where cutoffs 0.02 and 0.05 both leave every frame
+# alone and 1.2 makes one segment under either linkage, so different
+# agglomerative parameters give equal candidates
+EQUAL_CANDIDATES_GRID = {"linkage": ["average", "single"], "cutoff": [0.02, 0.05, 1.2],
+                         "unary_mix": [0.5, 0.85], "radius": [1, 2]}
+
 
 # one non-default value for every key of a nested parameter class
 NESTED_VALUES = {"linkage": "single", "cutoff": 0.7, "delta": 0.01, "p": 3, "min_subwindow": 4,
@@ -296,9 +302,16 @@ class TestGridSearchReuse:
             params = tuple((p, config.to_dict()[p]) for p in REUSE_GRID)
             assert by_params[params] == f_measure(alone.segmentation, gt)
 
-    def test_each_candidate_runs_once_per_distinct_input(self, reuse_day, monkeypatch):
+    # calls expected of cluster_frames, detect_changes, the merge loop,
+    # unary_energies and _pair_energies
+    @pytest.mark.parametrize("grid, counts", [
+        (REUSE_GRID, (16, 8, 8, 32, 8)),
+        (EQUAL_CANDIDATES_GRID, (6, 1, 2, 4, 2)),
+    ], ids=["reuse-grid", "equal-candidates"])
+    def test_each_candidate_runs_once_per_distinct_input(self, reuse_day, monkeypatch,
+                                                         grid, counts):
         stream, det, gt = reuse_day
-        config = PipelineConfig.from_dict({"grid": REUSE_GRID})
+        config = PipelineConfig.from_dict({"grid": grid})
         runs = _recording(monkeypatch, "run_pipeline")
         agglo = _recording(monkeypatch, "cluster_frames")
         adwin = _recording(monkeypatch, "detect_changes")
@@ -339,30 +352,31 @@ class TestGridSearchReuse:
         assert len(set(adwin_keys)) == len(adwin_keys)
         assert set(adwin_keys) == {(rescale_to_unit(r.fused).tobytes(), c.adwin)
                                    for c, (_, _, r) in zip(configs, runs)}
-        assert (len(agglo), len(adwin)) == (16, 8)
+        assert (len(agglo), len(adwin)) == counts[:2]
         # one merge table per distinct fused matrix and linkage, each built
         # inside the cluster_frames call of its first cutoff
         assert all(len(around) == 1 and around[0][1].linkage == linkage
                    for linkage, around in merges)
         merge_keys = [(around[0][0], linkage) for linkage, around in merges]
-        assert len(set(merge_keys)) == len(merge_keys) == 8
+        assert len(set(merge_keys)) == len(merge_keys) == counts[2]
         assert set(merge_keys) == {(f, c.agglo.linkage) for f, c in zip(fused, configs)}
-        # the unary tables read the label space, so both candidates' inputs,
-        # and the softmax temperature; one pair is held, so they are
-        # recomputed whenever that key differs from the previous run's,
-        # which here (radius innermost) is once per distinct key
-        unary_keys = [(f, c.agglo, c.adwin, c.gc.softmax_temp) for f, c in zip(fused, configs)]
+        # the unary tables read the fused matrix, the label space (so both
+        # candidate segmentations) and the softmax temperature; one pair is
+        # held, so they are recomputed whenever that key differs from the
+        # previous run's
+        unary_keys = [(f, r.seg_ac, r.seg_adw, c.gc.softmax_temp)
+                      for f, c, (_, _, r) in zip(fused, configs, runs)]
         key_changes = 1 + sum(a != b for a, b in zip(unary_keys, unary_keys[1:]))
-        assert len(unary) == key_changes == len(set(unary_keys)) == 32
+        assert len(unary) == key_changes == counts[3]
         assert not any(t.flags.writeable for a, _, _ in minimized for t in a[1:3])
-        # one pair-energy table per distinct fused matrix (4: blend x
-        # bandwidth) and radius, shared by every candidate pair and mix
-        assert len(set(pair_tables)) == len(pair_tables) == 8
+        # one pair-energy table per distinct fused matrix and radius,
+        # shared by every candidate pair and mix
+        assert len(set(pair_tables)) == len(pair_tables) == counts[4]
         assert set(pair_tables) == {(f, c.gc.radius) for f, c in zip(fused, configs)}
         # nothing is kept across calls
         grid_search(stream, det, gt, config)
-        assert (len(agglo), len(merges), len(adwin), len(unary), len(pair_tables)) == \
-            (32, 16, 16, 64, 16)
+        assert (len(agglo), len(adwin), len(merges), len(unary), len(pair_tables)) == \
+            tuple(2 * c for c in counts)
 
     @pytest.mark.parametrize("n", [1, 2, 40])
     def test_shared_pair_tables_give_the_fresh_segmentation(self, reuse_day, n):
