@@ -63,7 +63,11 @@ def epsilon_cut(m: float | np.ndarray, dim: int, delta_prime: float, p: int):
 
 
 def _log_term(dim: int, delta_prime: float) -> float:
-    return math.log(4.0 / (dim * delta_prime))
+    """``log(4 / (dim * delta_prime))``. A product that underflows to 0,
+    as ``delta / w`` does for a ``delta`` below the float range over the
+    window, gives the term's limit, +inf: an infinite threshold, no split."""
+    scaled = dim * delta_prime
+    return math.log(4.0 / scaled) if scaled else math.inf
 
 
 def _best_split(prefix: np.ndarray, dim: int, params: AdwinParams):

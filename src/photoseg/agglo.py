@@ -137,8 +137,6 @@ def linkage_merge_sequence(dist: np.ndarray, linkage: str, *,
     work = np.array(dist, dtype=np.float64, order="C",
                     copy=None if overwrite_dist else True)
     n = work.shape[0]
-    if n == 1:
-        return np.zeros((0, 4))
     total = 2 * n - 1
     # work[pos[a], pos[b]] for live a < b is the distance between a and b;
     # every other entry a live row can read is inf
@@ -165,18 +163,17 @@ def linkage_merge_sequence(dist: np.ndarray, linkage: str, *,
         active[i] = active[j] = False
         nd[i] = nd[j] = np.inf
         others = np.nonzero(active)[0]
-        if others.size:
-            slots = pos[others]
-            updated = _lw_update(linkage, _to_node(work, others, slots, i, si),
-                                 _to_node(work, others, slots, j, sj),
-                                 height, size[i], size[j], size[others])
-            # the new node takes i's slot and outnumbers every live node
-            work[si] = np.inf
-            work[slots, si] = updated
-            work[slots, sj] = np.inf
-            closer = updated < nd[others]
-            nd[others[closer]] = updated[closer]
-            nn[others[closer]] = new
+        slots = pos[others]
+        updated = _lw_update(linkage, _to_node(work, others, slots, i, si),
+                             _to_node(work, others, slots, j, sj),
+                             height, size[i], size[j], size[others])
+        # the new node takes i's slot and outnumbers every live node
+        work[si] = np.inf
+        work[slots, si] = updated
+        work[slots, sj] = np.inf
+        closer = updated < nd[others]
+        nd[others[closer]] = updated[closer]
+        nn[others[closer]] = new
         pos[new] = si
         ids[si] = new
         stale = nn[:new] == i
@@ -226,8 +223,6 @@ def cut_merge_sequence(merges: np.ndarray, n: int, cutoff: float) -> np.ndarray:
     its parent across those edges, and pointer jumping takes every frame
     to the root of its component, whose node id is the frame's label.
     """
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
     subtree_max = np.zeros(2 * n - 1)
     for step, (a, b, height, _) in enumerate(merges):
         subtree_max[n + step] = max(height, subtree_max[int(a)], subtree_max[int(b)])
@@ -260,8 +255,6 @@ def cluster_frames(stream: np.ndarray, params: AggloParams, *,
     if not np.isfinite(rows).all():
         raise ValidationError("feature matrix must be finite")
     n = rows.shape[0]
-    if n == 1:
-        return Segmentation(1, (0,))
     # the distances are needed only as the merge loop's work matrix
     merges = _held(merge_tables, params.linkage, lambda: linkage_merge_sequence(
         cosine_distance_matrix(rows), params.linkage, overwrite_dist=True))

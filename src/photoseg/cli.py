@@ -119,9 +119,7 @@ def _dump_intermediates(result: PipelineResult, config: PipelineConfig, out: Pat
     np.savetxt(out / "fused_features.csv", result.fused, delimiter=",")
     if result.semantic is not None:
         np.savetxt(out / "semantic_features.csv", result.semantic, delimiter=",")
-        with (out / "kept_concepts.json").open("w") as fh:
-            json.dump(result.kept_concepts, fh)
-            fh.write("\n")
+        write_json_object(out / "kept_concepts.json", result.kept_concepts, indent=None)
     if result.vocabulary is not None:
         result.vocabulary.save(out / "vocabulary.json")
 

@@ -306,11 +306,12 @@ def read_json_object(path: str | Path) -> dict:
         return _json_object(fh.read(), str(path), lineno=True)
 
 
-def write_json_object(path: str | Path, obj: dict) -> None:
-    """Write ``obj`` as JSON with sorted keys, indented by two spaces and
-    ending in a newline: the inverse of :func:`read_json_object`."""
+def write_json_object(path: str | Path, obj, *, indent: Optional[int] = 2) -> None:
+    """Write ``obj`` as one JSON document with sorted keys, indented by
+    ``indent`` spaces (on one line when None) and ending in a newline; for a
+    dict, the inverse of :func:`read_json_object`."""
     with Path(path).open("w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=indent)
         fh.write("\n")
 
 
@@ -462,9 +463,7 @@ def save_concept_detections(det: ConceptDetections, path: str | Path) -> None:
 
 
 def save_segmentation(seg: Segmentation, path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        json.dump({"n": seg.n, "starts": list(seg.starts)}, fh)
-        fh.write("\n")
+    write_json_object(path, {"n": seg.n, "starts": list(seg.starts)}, indent=None)
 
 
 def load_segmentation(path: str | Path) -> Segmentation:
@@ -479,9 +478,7 @@ def load_segmentation(path: str | Path) -> Segmentation:
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True)
-        fh.write("\n")
+    write_json_object(path, report.to_dict(), indent=None)
 
 
 def load_report(path: str | Path) -> EvalReport:

@@ -27,11 +27,19 @@ from .datamodel import Segmentation, ValidationError, _held
 from .fusion import BLOCK_ROWS, slice_means, unit_rows
 
 
+# the coldest softmax: similarities lie in [-1, 1], so a unary is at most
+# 2 / softmax_temp + log(labels), and at 1e-300 the chain sums them finitely
+# over ~9e7 frames, past any day whose n x n agglomeration matrix fits in memory
+MIN_SOFTMAX_TEMP = 1e-300
+
+
 @dataclass(frozen=True)
 class GcParams:
     """``unary_mix`` interpolates the two unary terms (0 = clustering only,
     1 = change-detector only); ``pairwise_weight`` scales the smoothing
-    term; ``radius`` is the temporal neighborhood half-width.
+    term; ``radius`` is the temporal neighborhood half-width;
+    ``softmax_temp``, at least 1e-300 (``MIN_SOFTMAX_TEMP``), divides the
+    similarities before the unaries' softmax.
 
     The defaults lean on the change detector's unary and full smoothing:
     the clustering side already shapes the label space itself, and its
@@ -53,8 +61,9 @@ class GcParams:
             )
         if self.radius < 1:
             raise ValidationError(f"radius must be >= 1, got {self.radius}")
-        if self.softmax_temp <= 0:
-            raise ValidationError(f"softmax_temp must be > 0, got {self.softmax_temp}")
+        if not self.softmax_temp >= MIN_SOFTMAX_TEMP:
+            raise ValidationError(
+                f"softmax_temp must be >= {MIN_SOFTMAX_TEMP:g}, got {self.softmax_temp}")
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .semantic import (
     ExactMatchProvider,
     SemanticVocabulary,
     SimilarityProvider,
+    _check_bandwidth,
     assemble_semantic_features,
     build_concept_graph,
     cluster_concepts,
@@ -83,8 +84,7 @@ class PipelineConfig:
             raise ValidationError(f"cluster count must be >= 1, got {self.vocab_size}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        _check_bandwidth(self.bandwidth)
         if self.variance_threshold < 0:
             raise ValidationError(f"threshold must be >= 0, got {self.variance_threshold}")
         if not 0.0 <= self.blend <= 1.0:

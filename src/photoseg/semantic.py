@@ -446,17 +446,32 @@ def assemble_semantic_features(det: ConceptDetections, vocab: SemanticVocabulary
     return out
 
 
+# the widest kernel, in frames: its radius of 3 bandwidths already spans a
+# whole day (1-2k frames) from every frame, while the smoothing loop's
+# time grows with the radius
+MAX_BANDWIDTH = 1000.0
+
+
+def _check_bandwidth(bandwidth: float) -> None:
+    """The bandwidth rule of :func:`smooth_temporal`: a value outside
+    (0, ``MAX_BANDWIDTH``], NaN included, raises :class:`ValidationError`."""
+    if not 0.0 < bandwidth <= MAX_BANDWIDTH:
+        raise ValidationError(f"bandwidth must be positive and finite, at most "
+                              f"{MAX_BANDWIDTH:g} frames, got {bandwidth}")
+
+
 def smooth_temporal(matrix: np.ndarray, bandwidth: float = 3.0) -> np.ndarray:
     """Kernel-smooth each concept column along the frame axis.
 
     Discrete Gaussian of standard deviation ``bandwidth`` frames, truncated
     at 3 bandwidths and renormalized at the sequence ends so a constant
     column passes through unchanged. Output is clamped to [0, 1]. A
-    bandwidth that is not finite and positive, or a NaN or inf entry,
-    raises :class:`ValidationError`.
+    bandwidth outside (0, 1000] (``MAX_BANDWIDTH``), or a NaN or inf entry,
+    raises :class:`ValidationError`. A bandwidth so small (below about
+    1e-154) that the squared offsets overflow keeps only the centre tap,
+    so each column is only clamped.
     """
-    if not (np.isfinite(bandwidth) and bandwidth > 0):
-        raise ValidationError(f"bandwidth must be positive and finite, got {bandwidth}")
+    _check_bandwidth(bandwidth)
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValidationError("expected an (n, concepts) matrix")
@@ -465,7 +480,8 @@ def smooth_temporal(matrix: np.ndarray, bandwidth: float = 3.0) -> np.ndarray:
     n = m.shape[0]
     radius = int(np.ceil(3.0 * bandwidth))
     offsets = np.arange(-radius, radius + 1)
-    kernel = np.exp(-0.5 * (offsets / bandwidth) ** 2)
+    with np.errstate(over="ignore"):   # an overflow is an infinite offset: weight 0
+        kernel = np.exp(-0.5 * (offsets / bandwidth) ** 2)
     kernel /= kernel.sum()
     smoothed = _symmetric_smooth(m, kernel)
     smoothed /= _symmetric_smooth(np.ones(n), kernel)[:, None]

@@ -26,6 +26,12 @@ class TestEpsilonCut:
     def test_shrinks_with_m(self):
         assert epsilon_cut(100, 4, 0.01, 2) < epsilon_cut(10, 4, 0.01, 2)
 
+    def test_underflowing_confidence_never_fires(self):
+        # delta / w underflows to 0: the log term's limit, an infinite threshold
+        assert epsilon_cut(10, 1, 5e-324 / 2, 2) == np.inf
+        seg = detect_changes(mean_shift_fixture(n_per_side=10), AdwinParams(delta=5e-324))
+        assert seg == Segmentation(20, (0,))
+
     def test_degenerate_confidence_never_fires(self):
         # dim * delta' >= 4 makes the bound vacuous: nothing is significant
         assert epsilon_cut(10, 10, 0.5, 2) == np.inf

@@ -295,10 +295,9 @@ class TestClusterFrames:
         for trial, rows in _oracle_inputs(rng, 30, n_max=20, n_min=1):
             tables = {}
             shared = [cluster_frames(rows, params, merge_tables=tables) for params in grid]
-            # one read-only table per linkage, built by its first cutoff;
-            # none for one frame
-            n = rows.shape[0]
-            assert built == (list(LINKAGES) if n > 1 else []) == list(tables)
+            # one read-only table per linkage, built by its first cutoff,
+            # for every n
+            assert built == list(LINKAGES) == list(tables)
             for params, seg in zip(grid, shared):
                 assert seg == cluster_frames(rows, params), f"{params}, trial {trial}"
             for linkage, table in tables.items():

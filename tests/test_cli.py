@@ -15,7 +15,9 @@ from photoseg.datamodel import (
     save_segmentation,
 )
 from photoseg.evaluate import evaluate_pair
+from photoseg.graphcut import MIN_SOFTMAX_TEMP
 from photoseg.pipeline import PipelineConfig, config_keys, run_pipeline
+from photoseg.semantic import MAX_BANDWIDTH
 from photoseg.synth import block_spec
 
 
@@ -386,6 +388,40 @@ def test_mistyped_config_exit_2(fixture_dir, tmp_path, capsys, body):
     assert rc == 2
     assert f"config value {next(iter(body))!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# every numeric config key at the ends of its type: int64's maximum, or the
+# smallest float, 1e-300 and 1e-200 (whose reciprocals, or their squares,
+# overflow) and 1e300; plus the extremes of each key's range
+_RANGE_EXTREMES = {
+    "vocab_size": [1], "seed": [0], "variance_threshold": [0.0], "blend": [0.0, 1.0],
+    "bandwidth": [MAX_BANDWIDTH], "delta": [1 - 2 ** -53], "p": [1], "min_subwindow": [1],
+    "unary_mix": [0.0, 1.0], "pairwise_weight": [0.0, 1.0], "radius": [1],
+    "softmax_temp": [MIN_SOFTMAX_TEMP], "tolerance": [0],
+}
+_TYPE_EXTREMES = {int: [2 ** 63 - 1], float: [5e-324, 1e-300, 1e-200, 1e300]}
+_EXTREME_VALUES = [
+    (key, value) for key, (kind, _) in config_keys().items() if kind in _TYPE_EXTREMES
+    for value in dict.fromkeys(_TYPE_EXTREMES[kind] + _RANGE_EXTREMES.get(key, []))]
+
+
+@pytest.fixture(scope="module")
+def small_day(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("small_day")
+    block_spec(num_segments=3, segment_length=10, noise_sigma=0.1, seed=2).save(tmp / "spec.json")
+    assert main(["synth", str(tmp / "spec.json"), "--outdir", str(tmp)]) == 0
+    return tmp
+
+
+@pytest.mark.parametrize("key, value", _EXTREME_VALUES,
+                         ids=[f"{key}={value!r}" for key, value in _EXTREME_VALUES])
+def test_extreme_in_range_config_values(small_day, tmp_path, key, value):
+    # no traceback and no numpy warning (an error under pytest): a run or exit 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    assert main(["segment", str(small_day / "features.csv"),
+                 "--detections", str(small_day / "detections.jsonl"),
+                 "--config", str(config), "--out", str(tmp_path / "seg.json")]) in (0, 2)
 
 
 @pytest.mark.parametrize("route", ["flag", "config-file"])

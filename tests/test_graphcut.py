@@ -8,6 +8,7 @@ from photoseg import graphcut
 from photoseg.datamodel import Segmentation, ValidationError
 from photoseg.fusion import BLOCK_ROWS
 from photoseg.graphcut import (
+    MIN_SOFTMAX_TEMP,
     GcParams,
     LabelSpace,
     _chain_optimum,
@@ -136,6 +137,21 @@ class TestUnaryEnergies:
         ls = build_label_space(seg_ac, seg_adw, stream)
         u_ac, u_adw = unary_energies(ls, stream, GcParams())
         assert np.isfinite(u_ac).all() and np.isfinite(u_adw).all()
+
+    def test_temperature_minimum_is_exact(self):
+        with pytest.raises(ValidationError, match="softmax_temp must be >= 1e-300"):
+            GcParams(softmax_temp=np.nextafter(MIN_SOFTMAX_TEMP, 0.0))
+        # opposite centroids: the widest similarity spread, -1 against 1
+        stream = np.vstack([np.tile([1.0, 0.0], (4, 1)), np.tile([-1.0, 0.0], (4, 1))])
+        seg = Segmentation(8, (0, 4))
+        ls = build_label_space(seg, seg, stream)
+        params = GcParams(softmax_temp=MIN_SOFTMAX_TEMP)
+        u_ac, u_adw = unary_energies(ls, stream, params)
+        assert u_ac[0, 1] == 2.0 / MIN_SOFTMAX_TEMP
+        assert minimize(ls, u_ac, u_adw, stream, params) == seg
+        # a unary is at most 2 / temp + log(labels): a chain of 8e7 frames
+        # of the largest unaries at a thousand labels still sums finitely
+        assert math.isfinite(8e7 * (2.0 / MIN_SOFTMAX_TEMP + math.log(1000.0)))
 
 
 class TestPairwiseEnergy:

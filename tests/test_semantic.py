@@ -6,6 +6,7 @@ import pytest
 from photoseg import semantic
 from photoseg.datamodel import ConceptDetections, ValidationError
 from photoseg.semantic import (
+    MAX_BANDWIDTH,
     ConceptCluster,
     ExactMatchProvider,
     FileSimilarityProvider,
@@ -414,6 +415,18 @@ class TestSmoothTemporal:
     def test_bad_bandwidth_rejected(self, bandwidth):
         with pytest.raises(ValidationError, match="bandwidth"):
             smooth_temporal(np.full((5, 2), 0.5), bandwidth)
+
+    def test_bandwidth_maximum_is_exact(self):
+        m = np.random.default_rng(4).uniform(size=(12, 2))
+        assert np.isfinite(smooth_temporal(m, MAX_BANDWIDTH)).all()
+        with pytest.raises(ValidationError, match="at most 1000 frames"):
+            smooth_temporal(m, np.nextafter(MAX_BANDWIDTH, np.inf))
+
+    @pytest.mark.parametrize("bandwidth", [5e-324, 1e-300, 1e-200])
+    def test_tiny_bandwidth_keeps_only_the_centre_tap(self, bandwidth):
+        # the squared offsets overflow to inf, which weighs 0, with no warning
+        m = np.random.default_rng(5).uniform(size=(9, 3))
+        assert np.array_equal(smooth_temporal(m, bandwidth), m)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, bad):
